@@ -16,23 +16,18 @@ cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== tier-1: admission core/gate/parity + profiler + fault tests under ThreadSanitizer =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$(nproc)" \
-    --target runtime_test core_test integration_test profiler_test trace_test \
-             fault_test service_test
-  ( cd build-tsan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|ProfilePipeline|TraceArena|MatrixDeterminism|FaultGate|FaultScenario|Watchdog|Reclaim|ServiceRace|ServicePump|ShardMailbox|SubmissionQueue|TenantLedger|Adversary|Credit' \
-      --output-on-failure -j "$(nproc)" )
-
-  echo "== tier-1: admission core/gate/waitlist + fault/recovery tests under ASan+UBSan =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$(nproc)" \
-    --target runtime_test core_test integration_test fault_test trace_test \
-             util_test service_test
-  ( cd build-asan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|Reclaim|TraceCorrupt|AtomicFile|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|ShardMailbox|ArrivalTrace|SubmissionQueue|TenantLedger|Adversary|Credit' \
-      --output-on-failure -j "$(nproc)" )
+  # The tests run under both sanitizers are listed once, as the filter of
+  # the tsan/asan test presets in CMakePresets.json; these are the test
+  # binaries that hold them.
+  sanitizer_targets=(runtime_test core_test integration_test profiler_test
+                     trace_test fault_test service_test util_test cluster_test)
+  for san in tsan asan; do
+    echo "== tier-1: concurrency/lifecycle tests under the $san preset =="
+    cmake --preset "$san"
+    cmake --build --preset "$san" -j "$(nproc)" \
+      --target "${sanitizer_targets[@]}"
+    ctest --preset "$san" -j "$(nproc)"
+  done
 fi
 
 echo "== tier-1: profiler perf snapshot (BENCH_profiler.json) =="

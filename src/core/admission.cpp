@@ -94,35 +94,56 @@ bool AdmissionCore::fast_path_usable(
   return true;
 }
 
-AdmitTicket AdmissionCore::admit(AdmitRequest request, double now) {
+AdmissionCore::Shaped AdmissionCore::shape(AdmitRequest& request,
+                                           AdmitTicket& ticket) const {
   RDA_CHECK_MSG(!request.demands.empty(),
                 "pp_begin with no declared demand from thread "
                     << request.thread);
-  AdmitTicket ticket;
   ResourceDemand& primary = request.demands.front();
-  const double declared = primary.amount;
-  bool partitioned = false;
-  // §6 partitioning transform. With counter feedback enabled the corrected
-  // demand must be capped instead, so the whole transform moves into the
-  // slow lane (feedback forces every call there anyway).
+  Shaped shaped;
+  shaped.declared = primary.amount;
   if (!config_.feedback.enable && primary.resource == ResourceKind::kLLC &&
       config_.partitioning.enable &&
       primary.amount > resources_.capacity(ResourceKind::kLLC)) {
     ticket.occupancy_cap = config_.partitioning.streaming_fraction *
                            resources_.capacity(ResourceKind::kLLC);
     primary.amount = ticket.occupancy_cap;
-    partitioned = true;
+    shaped.partitioned = true;
   }
-  if (calm() && fast_admit(request, now, partitioned, declared, ticket)) {
-    return ticket;
+  return shaped;
+}
+
+AdmitTicket AdmissionCore::admit(AdmitRequest request, double now) {
+  return admit_one(std::move(request), now, /*withdraw_if_parked=*/false);
+}
+
+AdmitTicket AdmissionCore::try_admit(AdmitRequest request, double now) {
+  return admit_one(std::move(request), now, /*withdraw_if_parked=*/true);
+}
+
+AdmitTicket AdmissionCore::admit_one(AdmitRequest request, double now,
+                                     bool withdraw_if_parked) {
+  AdmitTicket ticket;
+  const Shaped shaped = shape(request, ticket);
+  if (calm() && fast_admit(request, now, shaped, ticket)) return ticket;
+  ProgressMonitor::PendingDelivery pending;
+  {
+    std::lock_guard lock(slow_mu_);
+    ProgressMonitor::WakeBatch batch(monitor_, &pending);
+    ticket = slow_admit_locked(std::move(request), now, shaped,
+                               ticket.occupancy_cap);
+    // Nothing can grant the parked request before the hold ends, so the
+    // cancel always finds it still waiting.
+    if (withdraw_if_parked && !ticket.admitted) {
+      RDA_CHECK(monitor_.cancel_waiting(ticket.id, now));
+    }
   }
-  return slow_admit(std::move(request), now, partitioned, declared,
-                    ticket.occupancy_cap);
+  monitor_.deliver(std::move(pending));
+  return ticket;
 }
 
 bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
-                               bool partitioned, double declared,
-                               AdmitTicket& ticket) {
+                               const Shaped& shaped, AdmitTicket& ticket) {
   const std::uint32_t shard = shard_of_thread(request.thread);
   ShardSlot& slot = slots_[shard];
 
@@ -155,7 +176,7 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   record.demands = std::move(request.demands);
   record.reuse = request.reuse;
   record.label = std::move(request.label);
-  record.declared_demand = declared;
+  record.declared_demand = shaped.declared;
   record.declared_bandwidth = record.demand_for(ResourceKind::kMemBandwidth);
   record.begin_time = now;
   record.lease_epoch = monitor_.epoch();
@@ -174,7 +195,7 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   }
   slot.begins.fetch_add(1);
   slot.immediate.fetch_add(1);
-  if (partitioned) partitioned_periods_.fetch_add(1);
+  if (shaped.partitioned) partitioned_periods_.fetch_add(1);
   if (fast_hit) fast_path_hits_.fetch_add(1);
   if (config_.trace_sink != nullptr) {
     const PeriodRecord* stored = monitor_.registry().find(id);
@@ -200,23 +221,8 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   return true;
 }
 
-AdmitTicket AdmissionCore::slow_admit(AdmitRequest request, double now,
-                                      bool partitioned, double declared,
-                                      double occupancy_cap) {
-  ProgressMonitor::PendingDelivery pending;
-  AdmitTicket ticket;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    ticket = slow_admit_locked(std::move(request), now, partitioned, declared,
-                               occupancy_cap);
-  }
-  monitor_.deliver(std::move(pending));
-  return ticket;
-}
-
 AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
-                                             bool partitioned, double declared,
+                                             Shaped shaped,
                                              double occupancy_cap) {
   AdmitTicket ticket;
   ticket.occupancy_cap = occupancy_cap;
@@ -231,7 +237,7 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
   if (primary.resource == ResourceKind::kLLC) {
     // Counter-feedback: charge the corrected demand learned from previous
     // instances of this period (keyed by its static code location). Only
-    // reachable with feedback enabled — admit() skipped the transform then.
+    // reachable with feedback enabled — shape() skipped the transform then.
     if (config_.feedback.enable) {
       primary.amount *= corrector_.correction(request.label);
     }
@@ -248,7 +254,7 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
       ticket.occupancy_cap = config_.partitioning.streaming_fraction *
                              resources_.capacity(ResourceKind::kLLC);
       primary.amount = ticket.occupancy_cap;
-      partitioned = true;
+      shaped.partitioned = true;
     }
   }
   if (config_.feedback.enable) {
@@ -281,7 +287,7 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
   }
   record.reuse = request.reuse;
   record.label = std::move(request.label);
-  record.declared_demand = declared;
+  record.declared_demand = shaped.declared;
   record.declared_bandwidth = declared_bandwidth;
   const ProgressMonitor::BeginOutcome outcome =
       monitor_.begin_period(std::move(record), now);
@@ -290,7 +296,7 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
   // concurrency a fast-lane claim can invalidate it between the probe and
   // the predicate — degrade to a miss rather than assert.
   if (fast && !outcome.admitted) fast = false;
-  if (partitioned) partitioned_periods_.fetch_add(1);
+  if (shaped.partitioned) partitioned_periods_.fetch_add(1);
   if (fast) fast_path_hits_.fetch_add(1);
 
   if (config_.fast_path) {
@@ -314,41 +320,25 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
   std::vector<AdmitTicket> tickets(requests.size());
   struct Leftover {
     std::size_t index;
-    bool partitioned;
-    double declared;
+    Shaped shaped;
   };
   std::vector<Leftover> leftovers;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     AdmitRequest& request = requests[i];
-    RDA_CHECK_MSG(!request.demands.empty(),
-                  "pp_begin with no declared demand from thread "
-                      << request.thread);
     AdmitTicket& ticket = tickets[i];
-    ResourceDemand& primary = request.demands.front();
-    const double declared = primary.amount;
-    bool partitioned = false;
-    if (!config_.feedback.enable && primary.resource == ResourceKind::kLLC &&
-        config_.partitioning.enable &&
-        primary.amount > resources_.capacity(ResourceKind::kLLC)) {
-      ticket.occupancy_cap = config_.partitioning.streaming_fraction *
-                             resources_.capacity(ResourceKind::kLLC);
-      primary.amount = ticket.occupancy_cap;
-      partitioned = true;
-    }
-    if (calm() && fast_admit(request, now, partitioned, declared, ticket)) {
-      continue;
-    }
-    leftovers.push_back({i, partitioned, declared});
+    const Shaped shaped = shape(request, ticket);
+    if (calm() && fast_admit(request, now, shaped, ticket)) continue;
+    leftovers.push_back({i, shaped});
   }
   if (!leftovers.empty()) {
     ProgressMonitor::PendingDelivery pending;
     {
-      std::lock_guard<std::mutex> lock(slow_mu_);
+      std::lock_guard lock(slow_mu_);
       ProgressMonitor::WakeBatch batch(monitor_, &pending);
       for (const Leftover& l : leftovers) {
         tickets[l.index] =
-            slow_admit_locked(std::move(requests[l.index]), now, l.partitioned,
-                              l.declared, tickets[l.index].occupancy_cap);
+            slow_admit_locked(std::move(requests[l.index]), now, l.shaped,
+                              tickets[l.index].occupancy_cap);
       }
     }
     monitor_.deliver(std::move(pending));
@@ -360,7 +350,7 @@ bool AdmissionCore::withdraw(PeriodId id, double now) {
   ProgressMonitor::PendingDelivery pending;
   bool cancelled;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     RDA_CHECK_MSG(monitor_.registry().find(id) != nullptr,
                   "withdraw of unknown period id " << id);
@@ -374,7 +364,7 @@ WithdrawResult AdmissionCore::try_withdraw(PeriodId id, double now) {
   ProgressMonitor::PendingDelivery pending;
   WithdrawResult result;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     if (monitor_.registry().find(id) == nullptr) {
       result = WithdrawResult::kGone;
@@ -441,7 +431,7 @@ ReleaseTicket AdmissionCore::release(PeriodId id,
           monitor_.disabled_pool_count() != 0) {
         ProgressMonitor::PendingDelivery pending;
         {
-          std::lock_guard<std::mutex> lock(slow_mu_);
+          std::lock_guard lock(slow_mu_);
           ProgressMonitor::WakeBatch batch(monitor_, &pending);
           monitor_.rescan_release(now);
         }
@@ -473,7 +463,7 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
     std::vector<PeriodId> leftover_ids;
     leftover_ids.reserve(leftovers.size());
     for (const std::size_t i : leftovers) leftover_ids.push_back(ids[i]);
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     std::vector<PeriodRecord> records = monitor_.end_periods(leftover_ids, now);
     for (std::size_t j = 0; j < leftovers.size(); ++j) {
@@ -483,7 +473,7 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
                           monitor_.disabled_pool_count() != 0)) {
     // Purely fast batch: the Dekker re-check escalates at most once for the
     // whole batch instead of once per release.
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     monitor_.rescan_release(now);
   }
@@ -497,7 +487,7 @@ ReleaseTicket AdmissionCore::slow_release(PeriodId id,
   ProgressMonitor::PendingDelivery pending;
   ReleaseTicket ticket;
   {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   ProgressMonitor::WakeBatch batch(monitor_, &pending);
   ReleaseObservation observed = observed_in;
   if (config_.fault_injector != nullptr && observed.has_counters) {
@@ -576,7 +566,7 @@ ProgressMonitor::ReapOutcome AdmissionCore::reap(sim::ThreadId thread,
   ProgressMonitor::PendingDelivery pending;
   ProgressMonitor::ReapOutcome outcome;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     {
       ShardSlot& slot = slots_[shard_of_thread(thread)];
@@ -594,7 +584,7 @@ std::size_t AdmissionCore::sweep(std::uint64_t max_epoch_age, double now,
   ProgressMonitor::PendingDelivery pending;
   std::size_t reaped;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     reaped = monitor_.sweep(max_epoch_age, now, remember_waiters);
     if (reaped > 0) {
@@ -609,7 +599,7 @@ std::size_t AdmissionCore::sweep(std::uint64_t max_epoch_age, double now,
 }
 
 void AdmissionCore::heartbeat(sim::ThreadId thread) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   monitor_.heartbeat(thread);
 }
 
@@ -617,7 +607,7 @@ bool AdmissionCore::watchdog_tick(double now) {
   ProgressMonitor::PendingDelivery pending;
   bool any;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     any = monitor_.watchdog_tick(now);
   }
@@ -629,7 +619,7 @@ bool AdmissionCore::watchdog_stalled(double now) {
   ProgressMonitor::PendingDelivery pending;
   bool any;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     any = monitor_.watchdog_stalled(now);
   }
@@ -638,43 +628,43 @@ bool AdmissionCore::watchdog_stalled(double now) {
 }
 
 bool AdmissionCore::is_admitted(PeriodId id) const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.is_admitted(id);
 }
 
 bool AdmissionCore::is_rejected(PeriodId id) const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.is_rejected(id);
 }
 
 bool AdmissionCore::take_rejection(PeriodId id) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.take_rejection(id);
 }
 
 std::optional<PeriodId> AdmissionCore::take_rejection_for_thread(
     sim::ThreadId thread) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.take_rejection_for_thread(thread);
 }
 
 std::vector<sim::ThreadId> AdmissionCore::rejected_threads() const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.rejected_threads();
 }
 
 bool AdmissionCore::is_reclaimed(PeriodId id) const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.is_reclaimed(id);
 }
 
 bool AdmissionCore::take_reclaimed(PeriodId id) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   return monitor_.take_reclaimed(id);
 }
 
 MonitorStats AdmissionCore::stats() const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   MonitorStats merged = monitor_.stats();
   for (const ShardSlot& slot : slots_) {
     merged.begins += slot.begins.load();
@@ -703,7 +693,7 @@ std::vector<obs::ResourceRow> AdmissionCore::resource_rows() const {
 }
 
 AdmissionCore::AuditReport AdmissionCore::audit() const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard lock(slow_mu_);
   AuditReport report;
   const auto fail = [&report](const std::string& detail) {
     if (report.ok) {

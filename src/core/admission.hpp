@@ -62,6 +62,7 @@
 #include "fault/fault.hpp"
 #include "obs/sink.hpp"
 #include "obs/summary.hpp"
+#include "util/adaptive_mutex.hpp"
 
 namespace rda::core {
 
@@ -224,7 +225,7 @@ class AdmissionCore {
 
   /// Declares a process as a task-pool (§3.4 group pause semantics).
   void mark_pool(sim::ProcessId process) {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard lock(slow_mu_);
     monitor_.mark_pool(process);
   }
 
@@ -246,10 +247,18 @@ class AdmissionCore {
   std::vector<AdmitTicket> admit_batch(std::vector<AdmitRequest> requests,
                                        double now);
 
-  /// Withdraws a request that is still waitlisted (timeout / try_begin /
-  /// shutdown). Returns false — withdrawing NOTHING — when the period was
-  /// already admitted (the grant raced the timeout; the caller must consume
-  /// it and eventually release()). Throws on an unknown id.
+  /// Non-blocking pp_begin (the native gate's try_begin): admit() that
+  /// never leaves the request parked. A denied request is withdrawn inside
+  /// the same slow-mutex hold and wake batch that parked it, so it records
+  /// the same begin/block/cancel events and stats as admit() followed by
+  /// withdraw(), but no grant can race the withdrawal. `admitted == false`
+  /// means the request is gone (its id is no longer registered).
+  AdmitTicket try_admit(AdmitRequest request, double now);
+
+  /// Withdraws a request that is still waitlisted (timeout / shutdown).
+  /// Returns false — withdrawing NOTHING — when the period was already
+  /// admitted (the grant raced the timeout; the caller must consume it and
+  /// eventually release()). Throws on an unknown id.
   bool withdraw(PeriodId id, double now);
 
   /// Race-tolerant withdraw: like withdraw(), but an id that vanished
@@ -379,16 +388,29 @@ class AdmissionCore {
   bool fast_path_usable(const ShardSlot& slot, sim::ThreadId thread,
                         sim::ProcessId process,
                         const std::vector<ResourceDemand>& demands) const;
+  /// What admit-side shaping learned about a request before any lane ran.
+  struct Shaped {
+    bool partitioned = false;  ///< §6 capped the primary LLC demand
+    double declared = 0.0;     ///< primary demand as the caller declared it
+  };
+  /// Rejects an empty demand list and applies the §6 partitioning transform
+  /// to the primary LLC demand (setting ticket.occupancy_cap). With counter
+  /// feedback on, the corrected demand must be capped instead, so the
+  /// transform is left to slow_admit_locked (feedback forces every call
+  /// there anyway).
+  Shaped shape(AdmitRequest& request, AdmitTicket& ticket) const;
+  /// admit()/try_admit(): the calm lane, else one slow-mutex hold around
+  /// slow_admit_locked. With `withdraw_if_parked` a request the predicate
+  /// parked is cancelled before the hold ends.
+  AdmitTicket admit_one(AdmitRequest request, double now,
+                        bool withdraw_if_parked);
   /// Lock-free admit attempt. False = budget contention or nested-begin
   /// impossible here; caller falls through to the slow lane.
-  bool fast_admit(AdmitRequest& request, double now, bool partitioned,
-                  double declared, AdmitTicket& ticket);
-  AdmitTicket slow_admit(AdmitRequest request, double now, bool partitioned,
-                         double declared, double occupancy_cap);
-  /// slow_admit body; caller holds slow_mu_ inside an open WakeBatch.
+  bool fast_admit(AdmitRequest& request, double now, const Shaped& shaped,
+                  AdmitTicket& ticket);
+  /// Slow-lane admit; caller holds slow_mu_ inside an open WakeBatch.
   AdmitTicket slow_admit_locked(AdmitRequest request, double now,
-                                bool partitioned, double declared,
-                                double occupancy_cap);
+                                Shaped shaped, double occupancy_cap);
   ReleaseTicket slow_release(PeriodId id, const ReleaseObservation& observed,
                              double now);
   /// Lock-free release attempt (no Dekker re-check — the caller owes one
@@ -412,8 +434,10 @@ class AdmissionCore {
   DemandCorrector corrector_;
 
   /// Serializes the slow lane (ProgressMonitor and everything reachable
-  /// from it). Lock order: slow_mu_ → registry shard / cache_mu.
-  mutable std::mutex slow_mu_;
+  /// from it) for the whole core, across all shards. Its holds are short,
+  /// so a contended acquire spins about one futex round trip before it
+  /// parks. Lock order: slow_mu_ → registry shard / cache_mu.
+  mutable util::AdaptiveMutex slow_mu_;
 
   std::array<ShardSlot, kNumShards> slots_;
   std::atomic<std::uint64_t> fast_path_hits_{0};

@@ -184,33 +184,19 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
   request.reuse = reuse;
   request.label = std::move(label);
 
+  // A denied try is withdrawn by the core in the same slow-lane hold that
+  // parked it: no grant, rejection or reclaim can reach it first.
+  const double now = now_seconds();
   const core::AdmitTicket ticket =
-      core_.admit(std::move(request), now_seconds());
+      mode == WaitMode::kTry ? core_.try_admit(std::move(request), now)
+                             : core_.admit(std::move(request), now);
   if (ticket.admitted) {
     if (ticket.woke_from_waitlist) {
       no_sleep_blocks_.fetch_add(1, std::memory_order_relaxed);
     }
     return ticket.id;
   }
-
-  if (mode == WaitMode::kTry) {
-    switch (core_.try_withdraw(ticket.id, now_seconds())) {
-      case core::WithdrawResult::kCancelled:
-        return std::nullopt;
-      case core::WithdrawResult::kAlreadyAdmitted:
-        // The grant won the race between admit() returning and the
-        // withdraw; the capacity is charged — the caller owns the period.
-        consume_grant(tid, ticket.id);
-        return ticket.id;
-      case core::WithdrawResult::kGone:
-        // Rejected or reclaimed before we could withdraw; consume the fate
-        // so it cannot leak into the thread's next begin.
-        (void)core_.take_rejection(ticket.id);
-        (void)core_.take_reclaimed(ticket.id);
-        return std::nullopt;
-    }
-    return std::nullopt;  // unreachable
-  }
+  if (mode == WaitMode::kTry) return std::nullopt;
 
   // One logical wait, however many slices it takes (wait_slices_ counts
   // those separately — the old per-slice accounting double-counted).

@@ -111,7 +111,10 @@ struct GateStats {
   core::MonitorStats monitor;
   /// Begins that had to park AND sleep, counted ONCE per logical wait (a
   /// hardened sliced wait is still one wait; see wait_slices for the slice
-  /// count). waits + no_sleep_blocks accounts for every monitor block.
+  /// count). Every monitor block is a wait, a no-sleep block, or a
+  /// cancelled request — a denied try_begin parks and is withdrawn without
+  /// sleeping; a timed-out begin_for sleeps AND cancels — so
+  /// waits + no_sleep_blocks + monitor.cancels >= monitor.blocks.
   std::uint64_t waits = 0;
   /// Individual cv sleeps performed by hardened sliced waits (>= waits when
   /// hardened; 0 on the plain path, whose single predicate wait is 1 wait).
@@ -144,8 +147,9 @@ class AdmissionGate {
   core::PeriodId begin_multi(std::vector<core::ResourceDemand> demands,
                              ReuseLevel reuse, std::string label = {});
 
-  /// Non-blocking begin: admitted immediately or not at all (the request is
-  /// withdrawn, not waitlisted).
+  /// Non-blocking begin: admitted immediately or not at all. A denied
+  /// request is parked and withdrawn within one core operation, so it never
+  /// sleeps and no grant can race the withdrawal.
   std::optional<core::PeriodId> try_begin(ResourceKind resource,
                                           double demand, ReuseLevel reuse,
                                           std::string label = {});
@@ -230,9 +234,9 @@ class AdmissionGate {
   WaitOutcome hardened_wait(std::uint32_t tid, core::PeriodId id,
                             WaitMode mode, std::chrono::nanoseconds timeout);
 
-  /// Eats the (possibly still in-flight) grant for `id` after try_withdraw
-  /// reported kAlreadyAdmitted, so it cannot linger and satisfy the
-  /// thread's NEXT begin.
+  /// Eats the (possibly still in-flight) grant for `id` after a timed wait's
+  /// try_withdraw reported kAlreadyAdmitted, so it cannot linger and satisfy
+  /// the thread's NEXT begin.
   void consume_grant(std::uint32_t tid, core::PeriodId id);
 
   bool hardened() const {

@@ -1,6 +1,7 @@
 // Wake-delivery race regressions for the native gate.
 //
-// The single-lock gate hid two bug classes this suite pins:
+// The single-lock gate hid two bug classes this suite pins (a third, the
+// denied try_begin a grant could overtake, is pinned at the end):
 //   * a lost-wakeup window: end() only pinged the condition variable when
 //     the gate ran hardened, and the plain wait predicate only watched the
 //     grant flag — so a plain waiter whose fate arrived WITHOUT a Waker
@@ -14,11 +15,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "fault/fault.hpp"
+#include "obs/reconcile.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/gate.hpp"
 #include "util/units.hpp"
 
@@ -184,6 +189,84 @@ TEST(GateRace, HardenedWaitCountsOneLogicalWait) {
   EXPECT_EQ(stats.no_sleep_blocks, 0u);
   EXPECT_GT(stats.total_wait_seconds, 0.0);
   EXPECT_LT(gate.usage(ResourceKind::kLLC), 1e-6);
+}
+
+// Two threads, most ops try_begin: two 10 MB requests overflow the 15 MB
+// capacity, so tries are denied whenever the other thread holds one. A
+// denied try parks and is withdrawn in one core operation, so no release
+// can grant it in between — such a grant used to leave a block that was
+// neither a wait, a no-sleep block nor a cancel, and reconcile_waits
+// failed. Small begins always fit beside a 10 MB period and never wait.
+TEST(GateRace, TryHeavyTracedGateReconcilesWaits) {
+  // Runs until enough tries were denied.
+  constexpr int kMaxOpsPerThread = 20000;
+  constexpr std::uint64_t kEnoughDenials = 1000;
+  obs::EventRecorder recorder(1 << 17);  // 3 events per op
+  rt::GateConfig config = plain_config();
+  config.trace_sink = &recorder;
+  rt::AdmissionGate gate(config);
+
+  std::atomic<std::uint64_t> denied{0};
+  std::atomic<int> started{0};
+  const auto worker = [&gate, &denied, &started](int salt) {
+    // Start together: one thread's ops alone take less than a thread spawn.
+    started.fetch_add(1);
+    while (started.load() < 2) {
+    }
+    std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(salt);
+    for (int i = 0; i < kMaxOpsPerThread && denied.load() < kEnoughDenials;
+         ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      std::optional<core::PeriodId> id;
+      if ((x >> 33) % 10 != 0) {
+        id = gate.try_begin(ResourceKind::kLLC, static_cast<double>(MB(10)),
+                            ReuseLevel::kHigh);
+        if (!id.has_value()) {
+          denied.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+      } else {
+        id = gate.begin(ResourceKind::kLLC, static_cast<double>(MB(1)),
+                        ReuseLevel::kHigh);
+      }
+      // A short hold, so releases land while the other thread's try is in
+      // the slow lane. The yield lets the other thread run inside the hold
+      // even when the OS has put both on one CPU.
+      for (int spin = 0; spin < 64; ++spin) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        asm volatile("" : "+r"(x));
+      }
+      std::this_thread::yield();
+      gate.end(*id);
+    }
+  };
+  std::thread a(worker, 1);
+  std::thread b(worker, 2);
+  a.join();
+  b.join();
+
+  const rt::GateStats stats = gate.stats();
+  EXPECT_GT(denied.load(), 0u) << "no try was ever denied";
+  EXPECT_EQ(stats.monitor.cancels, denied.load());
+  EXPECT_EQ(stats.monitor.begins,
+            stats.monitor.ends + stats.monitor.cancels);
+  EXPECT_EQ(stats.waits, 0u) << "only tries can block, and they never sleep";
+  EXPECT_EQ(gate.usage(ResourceKind::kLLC), 0.0);
+  EXPECT_EQ(gate.waiting(), 0u);
+  const core::AdmissionCore::AuditReport audit = gate.audit();
+  EXPECT_TRUE(audit.ok) << audit.detail;
+
+  ASSERT_EQ(recorder.dropped(), 0u);
+  const std::vector<obs::Event> events = recorder.events();
+  const obs::ReconcileReport lifecycle = obs::reconcile(events, stats.monitor);
+  EXPECT_TRUE(lifecycle.ok) << lifecycle.message;
+  obs::WaitStatsCheck check;
+  check.waits = stats.waits;
+  check.no_sleep_blocks = stats.no_sleep_blocks;
+  check.total_wait_seconds = stats.total_wait_seconds;
+  const obs::ReconcileReport waits =
+      obs::reconcile_waits(events, recorder.wait_histogram(), check);
+  EXPECT_TRUE(waits.ok) << waits.message;
 }
 
 }  // namespace
