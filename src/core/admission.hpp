@@ -3,22 +3,22 @@
 // Every substrate that gates progress periods (the discrete-event simulator
 // via core::RdaScheduler, real threads via rt::AdmissionGate, and the
 // cluster layer's per-node gates) used to re-implement the same pipeline:
-// demand correction, §6 streaming partitioning, the Fig. 11 cached-decision
-// fast path, registry + predicate + waitlist bookkeeping. AdmissionCore owns
-// that pipeline once; the substrates shrink to adapters that translate their
-// wake mechanism (sim event injection, condvar notify) into the core's
-// Waker callback and their notion of time into `now` seconds.
+// demand correction, §6 streaming partitioning, registry + predicate +
+// waitlist bookkeeping. AdmissionCore owns that pipeline once; the
+// substrates shrink to adapters that translate their wake mechanism (sim
+// event injection, condvar notify) into the core's Waker callback and their
+// notion of time into `now` seconds. The Fig. 11 cached-decision cost model
+// is the simulator's alone and lives in RdaScheduler.
 //
 // Threading contract (sharded edition): the core is INTERNALLY synchronized
 // and splits every operation across two lanes.
 //
-//   * Fast lane (lock-free, the common case): when the system is CALM — no
-//     fault injector, no counter feedback, nobody parked on any waitlist,
-//     no §3.4-disabled pool — admit claims budget from the striped
-//     ResourceMonitor with atomic CAS and inserts into the calling thread's
-//     registry shard; release removes the record from its shard and returns
-//     the budget. The only shared state two unrelated threads touch is
-//     their own shard/stripe, so contended throughput scales with cores.
+//   * Fast lane (lock-free, the common case): when calm() holds, admit
+//     claims budget from the striped ResourceMonitor with atomic CAS and
+//     inserts into the calling thread's registry shard; release removes the
+//     record from its shard and returns the budget. The only shared state
+//     two unrelated threads touch is their own shard/stripe, so contended
+//     throughput scales with cores.
 //
 //   * Slow lane: everything else (parks, wakes, pools, watchdog, feedback,
 //     fault hooks) runs the full ProgressMonitor logic under one slow
@@ -49,7 +49,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/feedback.hpp"
@@ -104,32 +103,24 @@ struct AdmissionConfig {
   /// Compromise while the watts budget stays Strict). At most one entry per
   /// resource kind; later entries win.
   std::vector<PerResourcePolicy> resource_policies;
-  /// How per-resource verdicts fold into one admission decision. Anything
-  /// but all-must-fit forces every call through the slow lane (the
-  /// lock-free budget CAS can only express per-resource hard fits).
+  /// How per-resource verdicts fold into one admission decision.
   CombinerOptions combiner{};
-  /// Enable the cached-decision fast path (Fig. 11 second series).
-  bool fast_path = false;
   PartitionOptions partitioning{};
   /// Counter-feedback extension: correct declared demands from observed
-  /// per-period hardware counters. Forces every call through the slow lane
-  /// (the corrector is serial state).
+  /// per-period hardware counters.
   FeedbackOptions feedback{};
   MonitorOptions monitor{};
   /// Tenant-truth enforcement tier (non-owning; nullptr = off). When set,
   /// every completed period with counters is audited against its tenant's
   /// declaration (request.process is the tenant identity) and admissions
   /// from haircut-rung tenants are charged the audited usage ratio instead
-  /// of the declared demand. Forces every call through the slow lane — the
-  /// ledger is serial state, like the corrector.
+  /// of the declared demand.
   TenantLedger* tenant_ledger = nullptr;
   /// Admission-lifecycle event sink (non-owning; nullptr = tracing off).
   obs::TraceSink* trace_sink = nullptr;
   /// Fault injection (non-owning; nullptr = off). The core itself consults
   /// only the kRelease hook (corrupted counter observations); the substrates
   /// consult the lifecycle hooks around their own admit/block/wake sites.
-  /// Attaching an injector forces every call through the slow lane so the
-  /// fault matrix stays deterministic.
   fault::FaultInjector* fault_injector = nullptr;
 };
 
@@ -150,8 +141,7 @@ struct AdmitRequest {
 struct AdmitTicket {
   PeriodId id = kInvalidPeriod;
   bool admitted = false;
-  bool forced = false;     ///< admitted via the liveness override
-  bool fast_path = false;  ///< decision served from the thread cache
+  bool forced = false;  ///< admitted via the liveness override
   /// Admitted on the post-park second look of the lost-wake handshake: the
   /// period visited the waitlist (blocks was counted) but the caller must
   /// NOT sleep — no grant will ever arrive for it.
@@ -179,8 +169,7 @@ struct ReleaseObservation {
 
 /// Outcome of release().
 struct ReleaseTicket {
-  bool fast_path = false;  ///< release needed no full "kernel entry"
-  PeriodRecord record;     ///< the closed period
+  PeriodRecord record;  ///< the closed period
 };
 
 /// Outcome of try_withdraw() — the race-tolerant withdraw the native gate's
@@ -230,10 +219,9 @@ class AdmissionCore {
   }
 
   /// pp_begin. Applies feedback correction and §6 partitioning to the
-  /// primary LLC demand, consults the fast-path cache, then admits through
-  /// the calm lock-free lane or the full predicate pipeline. Throws
-  /// util::CheckFailure on a nested begin from the same thread (before any
-  /// stats or trace mutation).
+  /// primary LLC demand, then admits through the calm lock-free lane or the
+  /// full predicate pipeline. Throws util::CheckFailure on a nested begin
+  /// from the same thread (before any stats or trace mutation).
   AdmitTicket admit(AdmitRequest request, double now);
 
   /// Batched pp_begin for the service front end's drain loop. Semantically
@@ -342,7 +330,6 @@ class AdmissionCore {
   /// Slow-lane monitor stats plus the fast lane's per-shard begin/end
   /// counters, merged. By value: assembled at call time.
   MonitorStats stats() const;
-  std::uint64_t fast_path_hits() const { return fast_path_hits_.load(); }
   std::uint64_t partitioned_periods() const {
     return partitioned_periods_.load();
   }
@@ -357,37 +344,34 @@ class AdmissionCore {
   const DemandCorrector& corrector() const { return corrector_; }
 
  private:
-  struct ThreadCache {
-    bool valid = false;
-    /// Post-transformation demands of the last admitted request.
-    std::vector<ResourceDemand> demands;
-    std::uint64_t version = 0;  ///< load-table version at our last call
-  };
-
-  /// Per-shard fast-lane state: the Fig. 11 decision cache for the threads
-  /// hashing here plus this shard's share of the begin/end counters.
+  /// This shard's share of the fast lane's begin/end counters.
   /// Cacheline-aligned so shards do not false-share.
   struct alignas(64) ShardSlot {
-    std::mutex cache_mu;
-    std::unordered_map<sim::ThreadId, ThreadCache> cache;
     std::atomic<std::uint64_t> begins{0};
     std::atomic<std::uint64_t> ends{0};
     std::atomic<std::uint64_t> immediate{0};
   };
 
-  /// True when the lock-free lane may decide alone: all-must-fit combining,
-  /// no injector, no feedback, nobody parked, no pool disabled. Reads two
-  /// seq_cst atomics.
-  bool calm() const {
-    return combiner_calm_ && config_.fault_injector == nullptr &&
-           !config_.feedback.enable && config_.tenant_ledger == nullptr &&
-           monitor_.waitlist().size() == 0 &&
-           monitor_.disabled_pool_count() == 0;
+  /// The calm predicate: the one condition under which the lock-free lane
+  /// may decide alone. Its static half, calm_config_, is fixed at
+  /// construction and requires
+  ///   * all-must-fit combining (the budget CAS expresses only per-resource
+  ///     hard fits),
+  ///   * no counter feedback and no tenant ledger (serial corrector and
+  ///     ledger state), and
+  ///   * no fault injector (the fault matrix stays deterministic).
+  /// Its dynamic half is !slow_work_pending().
+  bool calm() const { return calm_config_ && !slow_work_pending(); }
+
+  /// Somebody is parked on a waitlist or a §3.4 pool is disabled: only the
+  /// slow lane may admit, and a release must rescan. Reads two seq_cst
+  /// atomics; a fast release re-reads them after returning its budget (the
+  /// releaser's half of the Dekker handshake).
+  bool slow_work_pending() const {
+    return monitor_.waitlist().size() != 0 ||
+           monitor_.disabled_pool_count() != 0;
   }
 
-  bool fast_path_usable(const ShardSlot& slot, sim::ThreadId thread,
-                        sim::ProcessId process,
-                        const std::vector<ResourceDemand>& demands) const;
   /// What admit-side shaping learned about a request before any lane ran.
   struct Shaped {
     bool partitioned = false;  ///< §6 capped the primary LLC demand
@@ -425,9 +409,8 @@ class AdmissionCore {
   /// Per-kind bound policies; kinds without an override point at policy_.
   PolicyTable policy_table_{};
   std::unique_ptr<CombiningPolicy> combiner_;
-  /// Precomputed: the configured combiner admits via per-resource hard
-  /// fits, so the lock-free lane's budget CAS expresses it exactly.
-  bool combiner_calm_ = true;
+  /// The static half of calm(); see there.
+  const bool calm_config_;
   ResourceMonitor resources_;
   SchedulingPredicate predicate_;
   ProgressMonitor monitor_;
@@ -436,11 +419,10 @@ class AdmissionCore {
   /// Serializes the slow lane (ProgressMonitor and everything reachable
   /// from it) for the whole core, across all shards. Its holds are short,
   /// so a contended acquire spins about one futex round trip before it
-  /// parks. Lock order: slow_mu_ → registry shard / cache_mu.
+  /// parks. Lock order: slow_mu_ → registry shard.
   mutable util::AdaptiveMutex slow_mu_;
 
   std::array<ShardSlot, kNumShards> slots_;
-  std::atomic<std::uint64_t> fast_path_hits_{0};
   std::atomic<std::uint64_t> partitioned_periods_{0};
 };
 

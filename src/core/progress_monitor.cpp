@@ -36,8 +36,12 @@ void ProgressMonitor::enable_pool(sim::ProcessId process) {
 void ProgressMonitor::trace(obs::EventKind kind, double now,
                             const PeriodRecord& record) {
   if (sink_ == nullptr) return;
+  // Stamps never run backwards: the native gate samples `now` before the
+  // core's slow mutex orders the calls, so a wake could otherwise be stamped
+  // before its block. Callers passing non-decreasing time see no change.
+  last_event_time_ = std::max(last_event_time_, now);
   obs::Event e;
-  e.time = now;
+  e.time = last_event_time_;
   e.kind = kind;
   e.thread = record.thread;
   e.process = record.process;

@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -358,6 +359,8 @@ class ProgressMonitor {
   BatchWakeFn batch_waker_;
   EvictFn evict_notifier_;
   obs::TraceSink* sink_ = nullptr;
+  /// Latest event stamp so far (see trace()).
+  double last_event_time_ = -std::numeric_limits<double>::infinity();
 
   ShardedRegistry registry_;
   ShardedWaitlist waitlist_;

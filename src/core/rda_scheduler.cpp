@@ -16,7 +16,6 @@ AdmissionConfig to_core_config(double llc_capacity_bytes,
   config.oversubscription = options.oversubscription;
   config.resource_policies = options.resource_policies;
   config.combiner = options.combiner;
-  config.fast_path = options.fast_path;
   config.partitioning = options.partitioning;
   config.feedback = options.feedback;
   config.monitor = options.monitor;
@@ -30,7 +29,9 @@ AdmissionConfig to_core_config(double llc_capacity_bytes,
 
 RdaScheduler::RdaScheduler(double llc_capacity_bytes,
                            const sim::Calibration& calib, RdaOptions options)
-    : calib_(calib), core_(to_core_config(llc_capacity_bytes, options)) {}
+    : calib_(calib),
+      core_(to_core_config(llc_capacity_bytes, options)),
+      fast_path_(options.fast_path) {}
 
 void RdaScheduler::attach(sim::ThreadWaker& waker) {
   waker_ = &waker;
@@ -42,6 +43,7 @@ void RdaScheduler::on_thread_exit(sim::ThreadId thread, double now) {
   // reap leaves no bookkeeping behind (remember_waiter = false).
   core_.reap(thread, now, /*remember_waiter=*/false);
   rejected_running_.erase(thread);
+  decisions_.erase(thread);
 }
 
 bool RdaScheduler::pending_admitted(sim::ThreadId thread) const {
@@ -86,12 +88,30 @@ sim::BeginResult RdaScheduler::on_phase_begin(sim::ThreadId thread,
   request.reuse = phase.reuse;
   request.label = phase.label;
 
+  // The table state the decision is made against, read before the call.
+  const std::uint64_t version = fast_path_ ? core_.resources().version() : 0;
+  const bool quiet = fast_path_ && core_.monitor().waitlist().size() == 0 &&
+                     core_.monitor().disabled_pool_count() == 0;
   const AdmitTicket ticket = core_.admit(std::move(request), now);
+
+  bool fast = false;
+  if (fast_path_) {
+    CachedDecision& cached = decisions_[thread];
+    // Feedback, the ledger haircut and §6 partitioning reshape the declared
+    // demands, so compare what the core actually charged.
+    const PeriodRecord* record =
+        ticket.admitted ? core_.monitor().registry().find(ticket.id) : nullptr;
+    fast = record != nullptr && cached.valid && quiet &&
+           cached.version == version && cached.demands == record->demands;
+    cached.valid = record != nullptr && !ticket.forced;
+    if (record != nullptr) cached.demands = record->demands;
+    cached.version = core_.resources().version();
+    if (fast) ++fast_path_hits_;
+  }
 
   sim::BeginResult result;
   result.admit = ticket.admitted;
-  result.call_cost =
-      ticket.fast_path ? calib_.api_fast_path_cost : calib_.api_call_cost;
+  result.call_cost = fast ? calib_.api_fast_path_cost : calib_.api_call_cost;
   result.occupancy_cap = ticket.occupancy_cap;
   return result;
 }
@@ -124,11 +144,21 @@ sim::EndResult RdaScheduler::on_phase_end(sim::ThreadId thread,
     counters.peak_bandwidth = observed.dram_bytes / observed.duration;
     counters.has_bandwidth = true;
   }
-  const ReleaseTicket ticket = core_.release(*id, counters, now);
+  // With nobody waiting the end wakes nobody, so a kernel entry could be
+  // skipped. The cached decision survives it only if nobody else touched
+  // the load table since this thread's last call (then its increment and
+  // decrement cancel out).
+  const bool quiet = fast_path_ && core_.monitor().waitlist().size() == 0;
+  const std::uint64_t version = fast_path_ ? core_.resources().version() : 0;
+  core_.release(*id, counters, now);
 
   sim::EndResult result;
-  result.call_cost =
-      ticket.fast_path ? calib_.api_fast_path_cost : calib_.api_call_cost;
+  result.call_cost = quiet ? calib_.api_fast_path_cost : calib_.api_call_cost;
+  if (fast_path_) {
+    CachedDecision& cached = decisions_[thread];
+    cached.valid = cached.valid && quiet && cached.version == version;
+    cached.version = core_.resources().version();
+  }
   return result;
 }
 

@@ -2,15 +2,19 @@
 //
 // A thin adapter over core::AdmissionCore: it translates sim phase
 // boundaries (on_phase_begin / on_phase_end) into the core's transactional
-// admit/release calls, the sim's ThreadWaker into the core's Waker, and the
-// core's fast-path verdict into the calibrated API call cost the simulator
-// charges (Fig. 11 overhead study). All policy, partitioning, feedback and
-// waitlist logic lives in the core — shared verbatim with the native
-// rt::AdmissionGate and the cluster layer's per-node gates.
+// admit/release calls and the sim's ThreadWaker into the core's Waker. All
+// policy, partitioning, feedback and waitlist logic lives in the core —
+// shared verbatim with the native rt::AdmissionGate and the cluster layer's
+// per-node gates. The adapter owns one decision of its own: the Fig. 11
+// cached-decision fast path, a cost model that picks the calibrated API
+// call cost the simulator charges. It needs no locking because the
+// simulator drives its gate from one thread.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/admission.hpp"
 #include "obs/sink.hpp"
@@ -23,7 +27,11 @@ struct RdaOptions {
   PolicyKind policy = PolicyKind::kStrict;
   /// Oversubscription factor x for RDA:Compromise (paper uses 2).
   double oversubscription = 2.0;
-  /// Enable the cached-decision fast path (Fig. 11 second series).
+  /// Enable the cached-decision fast path (Fig. 11 second series): a begin
+  /// that repeats its thread's last admitted, unforced request (same
+  /// post-shaping demands) against an unchanged load table, with nobody
+  /// waiting and no pool disabled, replays the same "admit" and is charged
+  /// the fast call cost; so is an end while nobody waits.
   bool fast_path = false;
   PartitionOptions partitioning{};
   /// Multi-resource extension: when > 0, DRAM bandwidth becomes a second
@@ -85,7 +93,7 @@ class RdaScheduler final : public sim::PhaseGate {
   const AdmissionCore& core() const { return core_; }
 
   MonitorStats monitor_stats() const { return core_.stats(); }
-  std::uint64_t fast_path_hits() const { return core_.fast_path_hits(); }
+  std::uint64_t fast_path_hits() const { return fast_path_hits_; }
   std::uint64_t partitioned_periods() const {
     return core_.partitioned_periods();
   }
@@ -95,8 +103,18 @@ class RdaScheduler final : public sim::PhaseGate {
   const DemandCorrector& corrector() const { return core_.corrector(); }
 
  private:
+  /// A thread's last decision, as the fast path replays it.
+  struct CachedDecision {
+    bool valid = false;  ///< last begin admitted unforced, table undisturbed
+    std::vector<ResourceDemand> demands;  ///< post-shaping, from the registry
+    std::uint64_t version = 0;  ///< resources().version() after the last call
+  };
+
   sim::Calibration calib_;
   AdmissionCore core_;
+  const bool fast_path_;
+  std::unordered_map<sim::ThreadId, CachedDecision> decisions_;
+  std::uint64_t fast_path_hits_ = 0;
   sim::ThreadWaker* waker_ = nullptr;
   /// Threads running ungated after a watchdog rejection: their next phase
   /// end has no core period to release.

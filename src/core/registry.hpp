@@ -24,6 +24,8 @@ namespace rda::core {
 struct ResourceDemand {
   ResourceKind resource = ResourceKind::kLLC;
   double amount = 0.0;  ///< bytes for kLLC, bytes/second for kMemBandwidth
+
+  bool operator==(const ResourceDemand&) const = default;
 };
 
 /// Everything the scheduler knows about one active progress period. A

@@ -18,7 +18,6 @@ core::AdmissionConfig to_core_config(const GateConfig& config) {
   c.oversubscription = config.oversubscription;
   c.resource_policies = config.resource_policies;
   c.combiner = config.combiner;
-  c.fast_path = config.fast_path;
   c.partitioning = config.partitioning;
   c.feedback = config.feedback;
   c.monitor = config.monitor;
@@ -87,10 +86,10 @@ AdmissionGate::AdmissionGate(GateConfig config)
   // once per batch. The core invokes this AFTER releasing its slow mutex,
   // possibly from several releasing threads at once — wait_mu_ serializes
   // the map inserts and the injector consults. With an injector attached
-  // the notification itself becomes a fault site: a lost wake drops the
-  // flag entirely (sliced waiters recover the admission core-side); a
-  // delayed wake sets the flag but swallows the ping (the next slice poll
-  // finds it).
+  // the notification itself becomes a fault site: a lost wake records the
+  // grant in dropped_ instead of granted_ and swallows the ping (the next
+  // slice poll recovers it); a delayed wake sets the flag but swallows the
+  // ping (the next slice poll finds it).
   core_.set_batch_waker(
       [this](const std::vector<core::ProgressMonitor::WakeGrant>& grants) {
         bool ping = false;
@@ -105,6 +104,7 @@ AdmissionGate::AdmissionGate(GateConfig config)
                                                   g.thread);
               if (fired != nullptr) {
                 if (fired->kind == fault::FaultKind::kLostWake) {
+                  dropped_[token] = g.period;
                   lost_wakes_.fetch_add(1, std::memory_order_relaxed);
                   continue;
                 }
@@ -176,6 +176,7 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
     // may have returned before its (injected-away or late) grant landed.
     // Anything present now predates the period this begin creates.
     granted_.erase(tid);
+    dropped_.erase(tid);
     evicted_.erase(tid);
     const auto it = groups_.find(tid);
     if (it != groups_.end()) request.process = it->second;
@@ -274,9 +275,12 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
   const bool timed_watchdog = config_.monitor.watchdog.enable &&
                               config_.monitor.watchdog.max_wait_seconds > 0.0;
   for (;;) {
-    // Fate checks, in precedence order: an explicit grant wins, then the
-    // terminal verdicts, then the lost-wake recovery probe. Channel state
-    // under wait_mu_; core probes outside it (the core locks internally).
+    // Fate checks, in precedence order: an explicit grant wins, then a
+    // dropped one (lost-wake recovery), then the terminal verdicts. Channel
+    // state under wait_mu_; core probes outside it (the core locks
+    // internally). A grant whose delivery is still in flight is in neither
+    // map yet: the waiter sleeps another slice, which the delivery's ping
+    // cuts short.
     {
       std::lock_guard<std::mutex> lock(wait_mu_);
       const auto g = granted_.find(tid);
@@ -286,6 +290,15 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
           return {id, nullptr};
         }
         granted_.erase(g);  // stale: late delivery for a recovered period
+      }
+      const auto d = dropped_.find(tid);
+      if (d != dropped_.end()) {
+        if (d->second == id) {
+          dropped_.erase(d);
+          recovered_wakes_.fetch_add(1, std::memory_order_relaxed);
+          return {id, nullptr};
+        }
+        dropped_.erase(d);  // stale
       }
       const auto e = evicted_.find(tid);
       if (e != evicted_.end()) {
@@ -302,14 +315,6 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
     }
     if (core_.take_reclaimed(id)) {
       return {std::nullopt, "waitlisted period was reclaimed"};
-    }
-    if (core_.is_admitted(id)) {
-      // Admitted core-side but no grant arrived (injected loss, or the
-      // delivery is still in flight): consume the admission directly. A
-      // grant that lands later is scrubbed by the next begin and can never
-      // match a newer period's id.
-      recovered_wakes_.fetch_add(1, std::memory_order_relaxed);
-      return {id, nullptr};
     }
     // Drive the time-triggered watchdog from the waiter itself — the native
     // gate has no other periodic actor. An escalation may have settled our
@@ -354,7 +359,8 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
       std::unique_lock<std::mutex> lock(wait_mu_);
       // A verdict may have landed between the probes and this re-lock;
       // sleep only if the channel is still empty for us.
-      if (granted_.count(tid) == 0 && evicted_.count(tid) == 0) {
+      if (granted_.count(tid) == 0 && dropped_.count(tid) == 0 &&
+          evicted_.count(tid) == 0) {
         cv_.wait_for(lock, wait_dur);
         wait_slices_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -370,19 +376,23 @@ void AdmissionGate::consume_grant(std::uint32_t tid, core::PeriodId id) {
   // core's slow mutex and may still be in flight. Wait for it briefly and
   // eat it, so it cannot linger and satisfy this thread's next begin.
   std::unique_lock<std::mutex> lock(wait_mu_);
-  const auto arrived = [&] {
-    const auto g = granted_.find(tid);
-    return g != granted_.end() && g->second == id;
+  const auto holds = [&](const auto& channel) {
+    const auto it = channel.find(tid);
+    return it != channel.end() && it->second == id;
   };
   if (config_.fault_injector != nullptr) {
-    // The notification itself may have been injected away (lost wake) — do
-    // not insist; a late delivery is scrubbed by the next begin.
-    if (!cv_.wait_for(lock, std::chrono::milliseconds(50), arrived)) {
+    // The notification itself may have been injected away (lost wake); a
+    // dropped grant pings nobody, so do not insist. A delivery still in
+    // flight at the timeout is scrubbed by the next begin, uncounted.
+    cv_.wait_for(lock, std::chrono::milliseconds(50),
+                 [&] { return holds(granted_) || holds(dropped_); });
+    if (holds(dropped_)) {
+      dropped_.erase(tid);
       recovered_wakes_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   } else {
-    cv_.wait(lock, arrived);
+    cv_.wait(lock, [&] { return holds(granted_); });
   }
   granted_.erase(tid);
 }
@@ -469,6 +479,7 @@ void AdmissionGate::reap_thread(std::uint32_t thread_id) {
   {
     std::lock_guard<std::mutex> lock(wait_mu_);
     granted_.erase(thread_id);
+    dropped_.erase(thread_id);
     groups_.erase(thread_id);
   }
   // Freed capacity already woke its admissions via the waker; this ping is
@@ -501,7 +512,6 @@ GateStats AdmissionGate::stats() const {
   s.wait_slices = wait_slices_.load(std::memory_order_relaxed);
   s.no_sleep_blocks = no_sleep_blocks_.load(std::memory_order_relaxed);
   s.total_wait_seconds = total_wait_seconds_.load(std::memory_order_relaxed);
-  s.fast_path_hits = core_.fast_path_hits();
   s.partitioned_periods = core_.partitioned_periods();
   s.lost_wakes = lost_wakes_.load(std::memory_order_relaxed);
   s.recovered_wakes = recovered_wakes_.load(std::memory_order_relaxed);

@@ -3,10 +3,12 @@
 // This is the paper's scheduling extension realized for real threads without
 // a kernel patch: a thin adapter over core::AdmissionCore. pp_begin runs the
 // same transactional admit pipeline as the simulator gate (shared verbatim —
-// registry, predicate, waitlist, fast path, partitioning, feedback all live
-// in the core); a denied caller blocks on a condition variable (standing in
-// for the kernel wait queue + wake events of §3) until a completing period
-// releases enough capacity.
+// registry, predicate, waitlist, partitioning, feedback all live in the
+// core); a denied caller blocks on a condition variable (standing in for the
+// kernel wait queue + wake events of §3) until a completing period releases
+// enough capacity. The gate has no Fig. 11 decision cache: its fast path is
+// the core's lock-free calm lane, and the cached-decision cost model is the
+// simulator's (core::RdaScheduler).
 //
 // Sharded-core edition: the core is internally synchronized (lock-free calm
 // lane + slow mutex), so the gate holds NO lock across core calls. Its one
@@ -83,11 +85,6 @@ struct GateConfig {
   /// core::AdmissionConfig.
   std::vector<core::PerResourcePolicy> resource_policies;
   core::CombinerOptions combiner{};
-  /// Enable the cached-decision fast path (Fig. 11): a repeat begin with an
-  /// unchanged demand against an unchanged load table skips nothing
-  /// semantically (the decision is still replayed) but is counted, letting
-  /// deployments measure how often a real kernel entry could be elided.
-  bool fast_path = false;
   /// §6 streaming partitioning for larger-than-LLC working sets.
   core::PartitionOptions partitioning{};
   /// Counter-feedback demand correction (fed via end(id, observation)).
@@ -123,10 +120,12 @@ struct GateStats {
   /// in-core second look before the caller ever slept.
   std::uint64_t no_sleep_blocks = 0;
   double total_wait_seconds = 0.0;  ///< cumulative blocked time
-  std::uint64_t fast_path_hits = 0;
   std::uint64_t partitioned_periods = 0;
   std::uint64_t lost_wakes = 0;       ///< grants whose notification was dropped
-  std::uint64_t recovered_wakes = 0;  ///< dropped grants found by slice polls
+  /// Dropped grants whose waiter found them on a slice poll (or after a
+  /// timed wait's withdraw lost to the grant). A grant still in flight is
+  /// waited for, never counted here.
+  std::uint64_t recovered_wakes = 0;
 };
 
 class AdmissionGate {
@@ -228,8 +227,8 @@ class AdmissionGate {
   WaitOutcome plain_wait(std::uint32_t tid, core::PeriodId id, WaitMode mode,
                          std::chrono::nanoseconds timeout);
 
-  /// Sliced wait with exponential backoff: re-checks grant / rejection /
-  /// reclaim / silent admission every slice and drives the time-triggered
+  /// Sliced wait with exponential backoff: re-checks grant / dropped grant /
+  /// rejection / reclaim every slice and drives the time-triggered
   /// watchdog. Called unlocked; core probes run outside wait_mu_.
   WaitOutcome hardened_wait(std::uint32_t tid, core::PeriodId id,
                             WaitMode mode, std::chrono::nanoseconds timeout);
@@ -254,16 +253,20 @@ class AdmissionGate {
   GateConfig config_;
   core::AdmissionCore core_;
 
-  /// Wait-channel lock. Guards granted_, evicted_, groups_ and nothing
-  /// else. NEVER held across a core_ call: the core's delivery callbacks
-  /// (batch waker, evict notifier) take it, so a core call made with it
-  /// held would self-deadlock when the operation delivers.
+  /// Wait-channel lock. Guards granted_, dropped_, evicted_, groups_ and
+  /// nothing else. NEVER held across a core_ call: the core's delivery
+  /// callbacks (batch waker, evict notifier) take it, so a core call made
+  /// with it held would self-deadlock when the operation delivers.
   mutable std::mutex wait_mu_;
   std::condition_variable cv_;
   /// thread token -> period granted to it. Consumed (erased) by the owner;
   /// an entry whose period doesn't match the owner's current wait is stale
   /// (late delivery after a timeout-recovery) and is ignored/overwritten.
   std::unordered_map<std::uint32_t, core::PeriodId> granted_;
+  /// thread token -> period whose grant the fault injector dropped (a lost
+  /// wake). The only grants a hardened waiter may claim without delivery,
+  /// and the only ones counted as recovered.
+  std::unordered_map<std::uint32_t, core::PeriodId> dropped_;
   /// thread token -> (period, reason) for waiters evicted without a grant.
   std::unordered_map<std::uint32_t,
                      std::pair<core::PeriodId, const char*>>

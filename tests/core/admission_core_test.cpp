@@ -6,6 +6,8 @@
 
 #include <vector>
 
+#include "obs/recorder.hpp"
+#include "obs/reconcile.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
 
@@ -101,39 +103,30 @@ TEST(AdmissionCore, NestedAdmitThrowsBeforeAnyStatsMutation) {
   EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), mb(1));
 }
 
-TEST(AdmissionCore, FastPathHitsOnRepeatIdenticalRequest) {
+TEST(AdmissionCore, SlowLaneEventStampsNeverRunBackwards) {
+  // A gate samples `now` before the core serializes the call, so a release
+  // can arrive stamped earlier than the block it resolves. The wake must
+  // not be stamped before its block: the wait histogram clamps a negative
+  // interval to 0, the event-derived total would not.
+  obs::EventRecorder recorder;
   AdmissionConfig config;
   config.llc_capacity_bytes = mb(16);
-  config.fast_path = true;
+  config.trace_sink = &recorder;
   AdmissionCore core(config);
 
-  const AdmitTicket first = core.admit(request(1, mb(4)), 0.0);
-  EXPECT_FALSE(first.fast_path);
-  const ReleaseTicket end1 = core.release(first.id, {}, 0.5);
-  EXPECT_TRUE(end1.fast_path);  // empty waitlist: nobody to wake
+  const AdmitTicket holder = core.admit(request(1, mb(10)), 0.0);
+  ASSERT_TRUE(holder.admitted);
+  const AdmitTicket waiter = core.admit(request(2, mb(10)), 2.0);
+  ASSERT_FALSE(waiter.admitted);
+  core.release(holder.id, {}, 1.0);
+  ASSERT_TRUE(core.is_admitted(waiter.id));
+  core.release(waiter.id, {}, 3.0);
 
-  const AdmitTicket second = core.admit(request(1, mb(4)), 1.0);
-  EXPECT_TRUE(second.fast_path);
-  EXPECT_TRUE(second.admitted);
-  EXPECT_EQ(core.fast_path_hits(), 1u);
-  core.release(second.id, {}, 1.5);
-}
-
-TEST(AdmissionCore, FastPathInvalidatedByForeignLoadChange) {
-  AdmissionConfig config;
-  config.llc_capacity_bytes = mb(16);
-  config.fast_path = true;
-  AdmissionCore core(config);
-
-  const AdmitTicket a1 = core.admit(request(1, mb(4)), 0.0);
-  core.release(a1.id, {}, 0.5);
-  // Another thread disturbs the load table between thread 1's calls.
-  const AdmitTicket b = core.admit(request(2, mb(4)), 0.6);
-  const AdmitTicket a2 = core.admit(request(1, mb(4)), 1.0);
-  EXPECT_FALSE(a2.fast_path);
-  EXPECT_EQ(core.fast_path_hits(), 0u);
-  core.release(b.id, {}, 2.0);
-  core.release(a2.id, {}, 2.0);
+  obs::WaitStatsCheck gate_side;
+  gate_side.waits = 1;
+  const obs::ReconcileReport report = obs::reconcile_waits(
+      recorder.events(), recorder.wait_histogram(), gate_side);
+  EXPECT_TRUE(report.ok) << report.message;
 }
 
 TEST(AdmissionCore, PartitioningCapsStreamingDemand) {

@@ -88,11 +88,38 @@ TEST(RdaScheduler, FastPathAfterIdenticalRepeat) {
   // First begin: no cache -> slow path.
   const auto first = sched.on_phase_begin(1, 1, phase(2), 0.0);
   EXPECT_DOUBLE_EQ(first.call_cost, calib.api_call_cost);
-  sched.on_phase_end(1, 1, phase(2), sim::PhaseObservation{}, 0.0);
+  const auto end =
+      sched.on_phase_end(1, 1, phase(2), sim::PhaseObservation{}, 0.0);
+  EXPECT_DOUBLE_EQ(end.call_cost, calib.api_fast_path_cost);  // nobody waits
   // Identical repeat with no interleaving load change: fast path.
   const auto second = sched.on_phase_begin(1, 1, phase(2), 0.0);
   EXPECT_TRUE(second.admit);
   EXPECT_DOUBLE_EQ(second.call_cost, calib.api_fast_path_cost);
+  EXPECT_EQ(sched.fast_path_hits(), 1u);
+}
+
+TEST(RdaScheduler, FastPathMissesWhenFeedbackChangesTheCharge) {
+  RdaOptions options;
+  options.fast_path = true;
+  options.feedback.enable = true;
+  RdaScheduler sched(static_cast<double>(MB(15)), sim::Calibration{},
+                     options);
+  RecordingWaker waker;
+  sched.attach(waker);
+  const sim::Calibration calib;
+  sim::PhaseObservation half;  // the period uses half its declared 2 MB
+  half.peak_occupancy = static_cast<double>(MB(1));
+  sched.on_phase_begin(1, 1, phase(2), 0.0);
+  sched.on_phase_end(1, 1, phase(2), half, 0.0);
+  // One sample is below min_samples: the charge is unchanged, so the
+  // repeat replays the cached decision.
+  EXPECT_DOUBLE_EQ(sched.on_phase_begin(1, 1, phase(2), 0.0).call_cost,
+                   calib.api_fast_path_cost);
+  sched.on_phase_end(1, 1, phase(2), half, 0.0);
+  ASSERT_NE(sched.corrector().correction("pp"), 1.0);
+  // Same declaration, but the corrector now reshapes the charged demand.
+  EXPECT_DOUBLE_EQ(sched.on_phase_begin(1, 1, phase(2), 0.0).call_cost,
+                   calib.api_call_cost);
   EXPECT_EQ(sched.fast_path_hits(), 1u);
 }
 
