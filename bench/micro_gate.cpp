@@ -191,19 +191,19 @@ int main(int argc, char** argv) {
   // Best of 5 per point, with a short quiesce before each rep: the gate
   // path is ~200 ns, so a stray scheduler tick or a post-load frequency
   // dip poisons any single run. The min is the sustained hot-path cost.
-  auto best5 = [](auto&& fn) {
+  // Each rep also takes one calibration sample first, so the anchor is the
+  // minimum over the same host weather as the numbers it scales (one block
+  // up front swung more than the gate's 10% band between runs).
+  std::vector<double> calib_samples;
+  auto best5 = [&calib_samples](auto&& fn) {
     double best = 1e18;
     for (int i = 0; i < 5; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      calib_samples.push_back(bench_calibration());
       best = std::min(best, fn());
     }
     return best;
   };
-
-  const double calib_ns = best5([] { return bench_calibration(); });
-  // Never scale the baseline DOWN: a faster-than-anchor machine just makes
-  // the gate easier to pass, which is fine; only slowdowns are corrected.
-  const double machine_factor = std::max(1.0, calib_ns / kCalibBaselineNs);
 
   const double uncontended_ns =
       best5([&] { return bench_uncontended(iters); });
@@ -216,9 +216,6 @@ int main(int argc, char** argv) {
   const double multi_contended_ns =
       best5([&] { return bench_multi_contended(iters / 4, threads); });
   const double multi_contended_mops = 1e3 / multi_contended_ns;
-  const double vs_baseline = uncontended_ns / kPreRefactorUncontendedNs;
-  const double vs_baseline_adj = vs_baseline / machine_factor;
-
   // Fixed 16-thread point for the sharded-core scaling gate. Only
   // meaningful with 16 real cores: on smaller hosts the threads time-slice
   // one another and the number measures the OS scheduler, so it is skipped
@@ -231,8 +228,21 @@ int main(int argc, char** argv) {
     contended_mops_16 = 1e3 / ns16;
   }
 
-  std::printf("calibration kernel:    %.1f ns (anchor %.0f ns, machine %.2fx)\n",
-              calib_ns, kCalibBaselineNs, machine_factor);
+  std::sort(calib_samples.begin(), calib_samples.end());
+  const double calib_ns_min = calib_samples.front();
+  const double calib_ns_median = calib_samples[calib_samples.size() / 2];
+  // Never scale the baseline DOWN: a faster-than-anchor machine just makes
+  // the gate easier to pass, which is fine; only slowdowns are corrected.
+  const double machine_factor =
+      std::max(1.0, calib_ns_min / kCalibBaselineNs);
+  const double vs_baseline = uncontended_ns / kPreRefactorUncontendedNs;
+  const double vs_baseline_adj = vs_baseline / machine_factor;
+
+  std::printf(
+      "calibration kernel:    %.1f ns min, %.1f ns median of %zu samples "
+      "(anchor %.0f ns, machine %.2fx)\n",
+      calib_ns_min, calib_ns_median, calib_samples.size(), kCalibBaselineNs,
+      machine_factor);
   std::printf(
       "uncontended begin/end: %.1f ns (baseline %.0f ns, %.2fx raw, "
       "%.2fx machine-adjusted)\n",
@@ -269,7 +279,8 @@ int main(int argc, char** argv) {
                 "{\n"
                 "  \"iters\": %llu,\n"
                 "  \"threads\": %d,\n"
-                "  \"calib_ns\": %.2f,\n"
+                "  \"calib_ns_min\": %.2f,\n"
+                "  \"calib_ns_median\": %.2f,\n"
                 "  \"machine_factor\": %.4f,\n"
                 "  \"uncontended_ns\": %.2f,\n"
                 "  \"try_denied_ns\": %.2f,\n"
@@ -282,8 +293,8 @@ int main(int argc, char** argv) {
                 "  \"uncontended_vs_baseline\": %.4f,\n"
                 "  \"uncontended_vs_baseline_adj\": %.4f\n"
                 "}\n",
-                static_cast<unsigned long long>(iters), threads, calib_ns,
-                machine_factor, uncontended_ns, try_denied_ns,
+                static_cast<unsigned long long>(iters), threads, calib_ns_min,
+                calib_ns_median, machine_factor, uncontended_ns, try_denied_ns,
                 multi_uncontended_ns, contended_ns, contended_mops,
                 multi_contended_mops, mops16, kPreRefactorUncontendedNs,
                 vs_baseline, vs_baseline_adj);

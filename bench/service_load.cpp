@@ -22,7 +22,12 @@
 //     the JSON carries an explicit "skipped" reason instead of a
 //     mysterious null, and the committed mops floor is scaled by the
 //     calib.hpp drift kernel.
+//   * host_ns_per_submission (per virtual-time cell) is the cell's wall
+//     time in ServiceFrontEnd::run divided by its arrivals: the host cost of
+//     one submission end to end. Informational and ungated; cells share
+//     the host's cores under --jobs > 1, so compare it at --jobs 1.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -55,6 +60,7 @@ struct Cell {
 struct CellResult {
   Cell cell;
   service::ServiceReport report;
+  double host_ns_per_submission = 0.0;
 };
 
 std::vector<Cell> build_cells() {
@@ -121,7 +127,9 @@ CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
   service::ServiceFrontEnd frontend(cfg);
   CellResult result;
   result.cell = cell;
+  const auto t0 = std::chrono::steady_clock::now();
   result.report = frontend.run(gen, arrivals);
+  result.host_ns_per_submission = bench::ns_since(t0, arrivals);
 
   // Ledger invariants every cell must satisfy, fault or not: each arrival
   // resolves exactly once, and nothing is left queued or in flight.
@@ -210,13 +218,14 @@ int main(int argc, char** argv) {
   for (const CellResult& r : results) {
     std::printf(
         "%-28s goodput %8.1f/s  work %8.5f s/s  p50 %6.2f ms  p95 %6.2f ms  "
-        "p99 %6.2f ms  steals %llu  reroutes %llu\n",
+        "p99 %6.2f ms  steals %llu  reroutes %llu  host %7.0f ns/sub\n",
         r.cell.name.c_str(), r.report.goodput_per_second,
         r.report.work_per_second, 1e3 * r.report.admission_latency.p50(),
         1e3 * r.report.admission_latency.p95(),
         1e3 * r.report.admission_latency.p99(),
         static_cast<unsigned long long>(r.report.stats.steals),
-        static_cast<unsigned long long>(r.report.stats.reroutes));
+        static_cast<unsigned long long>(r.report.stats.reroutes),
+        r.host_ns_per_submission);
   }
 
   // Locality must beat random placement on every shape (same trace, same
@@ -288,8 +297,9 @@ int main(int argc, char** argv) {
   json << "  \"arrivals\": " << arrivals << ",\n";
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "  \"calib_ns\": %.2f,\n  \"machine_factor\": %.4f,\n",
-                calib_ns, machine_factor);
+                "  \"calib_ns\": %.2f,\n  \"machine_factor\": %.4f,\n"
+                "  \"host_cores\": %u,\n  \"jobs\": %d,\n",
+                calib_ns, machine_factor, cores, jobs);
   json << buf;
   json << "  \"cells\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -299,7 +309,8 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s\", \"goodput\": %.3f, \"work_per_second\": "
         "%.6f,\n     \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f,\n"
         "     \"completed\": %llu, \"shed\": %llu, \"steals\": %llu, "
-        "\"reroutes\": %llu, \"mailboxed\": %llu}%s\n",
+        "\"reroutes\": %llu, \"mailboxed\": %llu,\n"
+        "     \"host_ns_per_submission\": %.1f}%s\n",
         r.cell.name.c_str(), r.report.goodput_per_second,
         r.report.work_per_second, 1e3 * r.report.admission_latency.p50(),
         1e3 * r.report.admission_latency.p95(),
@@ -309,7 +320,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.report.stats.steals),
         static_cast<unsigned long long>(r.report.stats.reroutes),
         static_cast<unsigned long long>(r.report.stats.mailboxed),
-        i + 1 < results.size() ? "," : "");
+        r.host_ns_per_submission, i + 1 < results.size() ? "," : "");
     json << buf;
   }
   json << "  ],\n";

@@ -620,11 +620,10 @@ AdmissionCore::AuditReport AdmissionCore::audit() const {
     }
   }
   const std::size_t counted = monitor_.waitlist().size();
-  const std::size_t merged = monitor_.waitlist().entries().size();
-  if (counted != merged) {
+  const std::size_t held = monitor_.waitlist().entries().size();
+  if (counted != held) {
     std::ostringstream os;
-    os << "waitlist total counter " << counted << " != merged contents "
-       << merged;
+    os << "waitlist total counter " << counted << " != contents " << held;
     fail(os.str());
   }
   return report;

@@ -20,9 +20,9 @@
 //
 // Sharded-core edition: this is the SLOW LANE of the two-lane AdmissionCore.
 // All calls are serialized by the core's slow mutex (or by the caller, for
-// direct users like the unit tests); internally the monitor now sits on the
-// sharded registry/waitlist and stripes its load charges, so its bookkeeping
-// composes with the lock-free fast lane running beside it. Wakes are
+// direct users like the unit tests); internally the monitor sits on the
+// sharded registry and one seq-ordered waitlist and stripes its load charges,
+// so its bookkeeping composes with the lock-free fast lane beside it. Wakes are
 // BATCHED: a rescan appends woken threads to a pending list and the
 // outermost operation flushes them in one pass (one notify for the whole
 // pp_end storm instead of one per admission).
@@ -278,7 +278,7 @@ class ProgressMonitor {
   }
 
   const MonitorStats& stats() const { return stats_; }
-  const ShardedWaitlist& waitlist() const { return waitlist_; }
+  const Waitlist& waitlist() const { return waitlist_; }
   const ShardedRegistry& registry() const { return registry_; }
   /// Fast-lane access: the core's lock-free admit inserts pre-admitted
   /// records and its release claims calm records directly off the shards.
@@ -363,7 +363,7 @@ class ProgressMonitor {
   double last_event_time_ = -std::numeric_limits<double>::infinity();
 
   ShardedRegistry registry_;
-  ShardedWaitlist waitlist_;
+  Waitlist waitlist_;
   std::set<sim::ProcessId> pools_;
   std::set<sim::ProcessId> disabled_pools_;
   std::atomic<std::size_t> disabled_pool_count_{0};

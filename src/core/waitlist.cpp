@@ -6,19 +6,33 @@
 
 namespace rda::core {
 
+void Waitlist::push(Entry entry) {
+  entry.seq = next_seq_++;
+  entries_.push_back(entry);
+  total_.fetch_add(1);  // seq_cst: this is the parker's Dekker store
+}
+
 std::vector<Waitlist::Entry> Waitlist::drain_admissible(
     const std::function<bool(const Entry&)>& admit, bool head_only) {
   std::vector<Entry> admitted;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (admit(*it)) {
-      admitted.push_back(*it);
-      it = entries_.erase(it);
-    } else if (head_only) {
-      break;
-    } else {
-      ++it;
+  if (head_only) {
+    while (!entries_.empty() && admit(entries_.front())) {
+      admitted.push_back(entries_.front());
+      entries_.pop_front();
     }
+  } else {
+    // One pass: admitted entries leave, the rest close ranks in order.
+    auto kept = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (admit(*it)) {
+        admitted.push_back(*it);
+      } else {
+        *kept++ = *it;
+      }
+    }
+    entries_.erase(kept, entries_.end());
   }
+  if (!admitted.empty()) total_.fetch_sub(admitted.size());
   return admitted;
 }
 
@@ -28,21 +42,23 @@ Waitlist::Entry Waitlist::remove_at(std::size_t index) {
                                       << entries_.size() << " entries");
   const Entry entry = entries_[index];
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(index));
+  total_.fetch_sub(1);
   return entry;
+}
+
+void Waitlist::restore(Entry entry) {
+  const auto pos = std::lower_bound(
+      entries_.begin(), entries_.end(), entry.seq,
+      [](const Entry& e, std::uint64_t seq) { return e.seq < seq; });
+  entries_.insert(pos, entry);
+  total_.fetch_add(1);
 }
 
 std::vector<Waitlist::Entry> Waitlist::remove_process(
     sim::ProcessId process) {
-  std::vector<Entry> removed;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->process == process) {
-      removed.push_back(*it);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return drain_admissible(
+      [process](const Entry& e) { return e.process == process; },
+      /*head_only=*/false);
 }
 
 std::size_t Waitlist::count_process(sim::ProcessId process) const {

@@ -14,7 +14,9 @@
 //     (ablation bench `ablate_waitlist`).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -25,6 +27,12 @@
 
 namespace rda::core {
 
+/// The one resource waitlist of the core: a deque in arrival (seq) order.
+///
+/// All mutation happens in the admission slow lane (serialized by the core's
+/// slow mutex, or by the caller for direct users). size() is lock-free: it
+/// reads the seq_cst total counter the calm lane uses as its "anybody
+/// parked?" Dekker flag.
 class Waitlist {
  public:
   struct Entry {
@@ -42,19 +50,21 @@ class Waitlist {
     std::uint32_t rounds = 0;
     std::uint8_t rung = 0;
     double last_escalation_time = 0.0;
-    /// Global arrival sequence, assigned by the sharded waitlist so the
-    /// cross-shard merged view can reconstruct true FIFO order.
+    /// Arrival sequence, assigned by push(). The list stays sorted by it, so
+    /// restore() can put a re-parked entry back at its FIFO position.
     std::uint64_t seq = 0;
   };
 
-  void push(Entry entry) { entries_.push_back(entry); }
+  /// Appends at the tail with the next arrival sequence.
+  void push(Entry entry);
 
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return total_.load(); }
+  /// Entries in arrival order; indices below refer to positions in it.
   const std::deque<Entry>& entries() const { return entries_; }
 
   /// Mutable access for the watchdog's round/rung bookkeeping; the identity
-  /// fields (period/thread/process) must not be modified through this.
+  /// fields (period/thread/process/seq) must not be modified through this.
   Entry& entry_at(std::size_t index) { return entries_[index]; }
 
   /// Removes and returns every entry `admit` accepts, in FIFO order. When
@@ -65,6 +75,10 @@ class Waitlist {
   /// Removes and returns the entry at `index` (0 = head).
   Entry remove_at(std::size_t index);
 
+  /// Re-inserts an entry removed by remove_at at its original FIFO position
+  /// (same seq) — used when a selected wake fails its re-acquisition.
+  void restore(Entry entry);
+
   /// Removes all entries of one process (group admission for thread pools).
   std::vector<Entry> remove_process(sim::ProcessId process);
 
@@ -73,6 +87,8 @@ class Waitlist {
 
  private:
   std::deque<Entry> entries_;
+  std::uint64_t next_seq_ = 1;
+  std::atomic<std::size_t> total_{0};
 };
 
 /// Wake order applied when released capacity is re-offered to the waitlist.

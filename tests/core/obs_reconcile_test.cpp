@@ -4,6 +4,7 @@
 // export of that capture must contain exactly one slice pair per period.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -146,7 +147,11 @@ TEST(ObsReconcile, IllegalTransitionsAreDetected) {
 
 /// Contended native-gate run with the recorder attached: four 6 MB threads
 /// on a 15 MB LLC, so real condvar waits happen and the gate's wall-clock
-/// wait accounting can be reconciled against the event stream.
+/// wait accounting can be reconciled against the event stream. A thread
+/// admitted in its first period holds it until somebody parks (two 6 MB
+/// periods fit in 15 MB, the third must park), so every run blocks at least
+/// once however the threads are scheduled; once a park has been seen, no
+/// thread holds any longer.
 class TracedGateRun {
  public:
   TracedGateRun() {
@@ -154,13 +159,21 @@ class TracedGateRun {
     cfg.llc_capacity_bytes = static_cast<double>(MB(15));
     cfg.trace_sink = &recorder_;
     rt::AdmissionGate gate(cfg);
+    std::atomic<bool> parked_seen{false};
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&gate] {
+      threads.emplace_back([&gate, &parked_seen] {
         for (int i = 0; i < 16; ++i) {
           const auto id =
               gate.begin(ResourceKind::kLLC, static_cast<double>(MB(6)),
                          ReuseLevel::kHigh, "w");
+          while (i == 0 && !parked_seen.load()) {
+            if (gate.waiting() > 0) {
+              parked_seen.store(true);
+            } else {
+              std::this_thread::yield();
+            }
+          }
           std::this_thread::sleep_for(std::chrono::microseconds(200));
           gate.end(id);
         }

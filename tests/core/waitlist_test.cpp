@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace rda::core {
 namespace {
@@ -86,6 +91,163 @@ TEST(Waitlist, RemoveAtPullsOneEntry) {
   EXPECT_EQ(wl.entries()[0].period, 1u);
   EXPECT_EQ(wl.entries()[1].period, 3u);
   EXPECT_THROW(wl.remove_at(2), util::CheckFailure);
+}
+
+TEST(Waitlist, CounterTracksContents) {
+  Waitlist waitlist;
+  util::Rng rng(7);
+  std::uint64_t next_period = 1;
+  std::size_t expected = 0;
+  for (int round = 0; round < 200; ++round) {
+    if (expected == 0 || rng.next_double() < 0.6) {
+      Waitlist::Entry entry;
+      entry.period = next_period++;
+      entry.thread = static_cast<sim::ThreadId>(1 + rng.next_below(64));
+      entry.process = static_cast<sim::ProcessId>(entry.thread);
+      waitlist.push(entry);
+      ++expected;
+    } else {
+      waitlist.remove_at(rng.next_below(expected));
+      --expected;
+    }
+    // The Dekker flag the lock-free lane reads must equal the list's true
+    // size after every mutation.
+    ASSERT_EQ(waitlist.size(), expected);
+    ASSERT_EQ(waitlist.entries().size(), expected);
+    // The list is in strict arrival order.
+    std::uint64_t prev_seq = 0;
+    for (const Waitlist::Entry& e : waitlist.entries()) {
+      ASSERT_GT(e.seq, prev_seq);
+      prev_seq = e.seq;
+    }
+  }
+}
+
+TEST(Waitlist, RestoreReinsertsAtOriginalFifoPosition) {
+  Waitlist waitlist;
+  for (std::uint64_t p = 1; p <= 8; ++p) {
+    Waitlist::Entry entry;
+    entry.period = p;
+    entry.thread = static_cast<sim::ThreadId>(p);
+    waitlist.push(entry);
+  }
+  Waitlist::Entry taken = waitlist.remove_at(3);
+  EXPECT_EQ(waitlist.size(), 7u);
+  waitlist.restore(taken);
+  ASSERT_EQ(waitlist.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(waitlist.entries()[i].period, i + 1) << "index " << i;
+  }
+}
+
+bool same_entry(const Waitlist::Entry& a, const Waitlist::Entry& b) {
+  return a.period == b.period && a.thread == b.thread &&
+         a.process == b.process && a.enqueue_time == b.enqueue_time &&
+         a.demand == b.demand && a.rounds == b.rounds && a.rung == b.rung &&
+         a.last_escalation_time == b.last_escalation_time && a.seq == b.seq;
+}
+
+// Differential check of every mutation against a plain vector re-sorted by
+// seq after each op: the waitlist must always equal the sorted reference,
+// keep its counter equal to its contents, and keep seq strictly increasing.
+TEST(Waitlist, MatchesSortedReferenceUnderRandomOps) {
+  Waitlist waitlist;
+  std::vector<Waitlist::Entry> ref;
+  std::vector<Waitlist::Entry> removed;  // remove_at results, restorable
+  std::uint64_t next_seq = 1;
+  PeriodId next_period = 1;
+  util::Rng rng(20181);
+  const auto by_seq = [](const Waitlist::Entry& a, const Waitlist::Entry& b) {
+    return a.seq < b.seq;
+  };
+  const auto expect_same = [](const std::vector<Waitlist::Entry>& got,
+                              const std::vector<Waitlist::Entry>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(same_entry(got[i], want[i])) << "index " << i;
+    }
+  };
+
+  for (int op = 0; op < 5000; ++op) {
+    const std::uint64_t roll = rng.next_below(100);
+    if (ref.empty() || roll < 35) {
+      Waitlist::Entry entry;
+      entry.period = next_period++;
+      entry.thread = static_cast<sim::ThreadId>(1 + rng.next_below(32));
+      entry.process = static_cast<sim::ProcessId>(1 + rng.next_below(6));
+      entry.enqueue_time = static_cast<double>(op);
+      entry.demand = static_cast<double>(1 + rng.next_below(16));
+      waitlist.push(entry);
+      entry.seq = next_seq++;
+      ref.push_back(entry);
+    } else if (roll < 55) {
+      const std::size_t i = rng.next_below(ref.size());
+      const Waitlist::Entry got = waitlist.remove_at(i);
+      ASSERT_TRUE(same_entry(got, ref[i])) << "op " << op;
+      removed.push_back(ref[i]);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (roll < 65) {
+      if (removed.empty()) continue;
+      const std::size_t i = rng.next_below(removed.size());
+      waitlist.restore(removed[i]);
+      ref.push_back(removed[i]);
+      removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (roll < 80) {
+      const double bound = static_cast<double>(1 + rng.next_below(16));
+      const bool head_only = rng.next_below(2) == 0;
+      const std::vector<Waitlist::Entry> got = waitlist.drain_admissible(
+          [bound](const Waitlist::Entry& e) { return e.demand <= bound; },
+          head_only);
+      std::vector<Waitlist::Entry> want;
+      std::vector<Waitlist::Entry> kept;
+      bool stopped = false;
+      for (const Waitlist::Entry& e : ref) {
+        if (!stopped && e.demand <= bound) {
+          want.push_back(e);
+        } else {
+          if (head_only) stopped = true;
+          kept.push_back(e);
+        }
+      }
+      expect_same(got, want);
+      ref = kept;
+    } else if (roll < 85) {
+      const auto process = static_cast<sim::ProcessId>(1 + rng.next_below(6));
+      EXPECT_EQ(waitlist.count_process(process),
+                static_cast<std::size_t>(std::count_if(
+                    ref.begin(), ref.end(), [process](const auto& e) {
+                      return e.process == process;
+                    })));
+      const std::vector<Waitlist::Entry> got =
+          waitlist.remove_process(process);
+      std::vector<Waitlist::Entry> want;
+      std::vector<Waitlist::Entry> kept;
+      for (const Waitlist::Entry& e : ref) {
+        (e.process == process ? want : kept).push_back(e);
+      }
+      expect_same(got, want);
+      ref = kept;
+    } else {
+      // Watchdog-style bookkeeping through entry_at.
+      const std::size_t i = rng.next_below(ref.size());
+      Waitlist::Entry& e = waitlist.entry_at(i);
+      ++e.rounds;
+      e.rung = static_cast<std::uint8_t>(rng.next_below(4));
+      e.last_escalation_time = static_cast<double>(op);
+      ++ref[i].rounds;
+      ref[i].rung = e.rung;
+      ref[i].last_escalation_time = e.last_escalation_time;
+    }
+    std::sort(ref.begin(), ref.end(), by_seq);
+
+    ASSERT_EQ(waitlist.size(), waitlist.entries().size()) << "op " << op;
+    const std::vector<Waitlist::Entry> got(waitlist.entries().begin(),
+                                           waitlist.entries().end());
+    expect_same(got, ref);
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      ASSERT_LT(got[i - 1].seq, got[i].seq) << "op " << op;
+    }
+  }
 }
 
 Waitlist::Entry sized(PeriodId period, double demand) {
