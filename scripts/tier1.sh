@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: full build + full test suite, then the concurrency-sensitive
-# admission/gate tests again under ThreadSanitizer and under ASan+UBSan.
+# admission/gate tests again under ThreadSanitizer and under ASan+UBSan, the
+# bench gates, and the benchmark's own output checks.
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip both sanitizer stages
@@ -221,6 +222,17 @@ for key in batch_speedup drain_scaling; do
       build/bench/BENCH_service.json)"
     echo "pump $key skipped: ${reason:-$(nproc) hardware threads (<8)}"
   fi
+done
+
+echo "== tier-1: benchmark self-checks (rdabench) =="
+# The benchmark perf changes are judged by (BENCHMARK.json): its
+# wrapper-equivalence selftest, then a short pass of every workload. Each
+# run checks the program's outputs and the metric catalogue and exits
+# non-zero on a failed check; the metric values themselves are not gated.
+python3 rdabench/run.py --selftest
+for workload in svc_bursty gate_churn blas_corun sim_table2; do
+  python3 rdabench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    --trace 0
 done
 
 echo "tier-1 OK"

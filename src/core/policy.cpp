@@ -102,10 +102,10 @@ class AllMustFitCombiner final : public CombiningPolicy {
   std::string name() const override { return "all-must-fit"; }
 
   bool would_admit(const std::vector<ResourceDemand>& demands,
-                   const ResourceMonitor& resources,
+                   LoadView& load,
                    const PolicyTable& policies) const override {
     for (const ResourceDemand& d : demands) {
-      const ResourceState& res = resources.state(d.resource);
+      const ResourceState& res = load.state(d.resource);
       if (!policies[idx(d.resource)]->allow(res.remaining() - d.amount, res)) {
         return false;
       }
@@ -147,7 +147,7 @@ class WeightedSumCombiner final : public CombiningPolicy {
   }
 
   bool would_admit(const std::vector<ResourceDemand>& demands,
-                   const ResourceMonitor& resources,
+                   LoadView& load,
                    const PolicyTable& policies) const override {
     // Weight-averaged post-admission utilization over the declared kinds
     // with finite bounds. A single over-packed resource can be compensated
@@ -155,7 +155,7 @@ class WeightedSumCombiner final : public CombiningPolicy {
     double weighted = 0.0;
     double weight_total = 0.0;
     for (const ResourceDemand& d : demands) {
-      const ResourceState& res = resources.state(d.resource);
+      const ResourceState& res = load.state(d.resource);
       const double bound =
           policies[idx(d.resource)]->admission_bound(res.capacity);
       if (!std::isfinite(bound) || bound <= 0.0) continue;
@@ -170,7 +170,8 @@ class WeightedSumCombiner final : public CombiningPolicy {
   bool try_schedule(const std::vector<ResourceDemand>& demands,
                     std::uint32_t stripe, ResourceMonitor& resources,
                     const PolicyTable& policies) const override {
-    if (!would_admit(demands, resources, policies)) return false;
+    LoadView load(resources);
+    if (!would_admit(demands, load, policies)) return false;
     // An admitted vector is charged in full: resources whose own budget is
     // exhausted (compensated by slack elsewhere) go through the overdraft.
     for (const ResourceDemand& d : demands) {
@@ -192,13 +193,13 @@ class PriorityOrderedCombiner final : public CombiningPolicy {
   std::string name() const override { return "priority-ordered"; }
 
   bool would_admit(const std::vector<ResourceDemand>& demands,
-                   const ResourceMonitor& resources,
+                   LoadView& load,
                    const PolicyTable& policies) const override {
     // Only the first-declared (dominant) demand gates admission; the rest
     // ride along on the overdraft if their budgets are tight.
     if (demands.empty()) return true;
     const ResourceDemand& d = demands.front();
-    const ResourceState& res = resources.state(d.resource);
+    const ResourceState& res = load.state(d.resource);
     return policies[idx(d.resource)]->allow(res.remaining() - d.amount, res);
   }
 

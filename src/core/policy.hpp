@@ -124,9 +124,10 @@ using PolicyTable = std::array<const SchedulingPolicy*, kNumResourceKinds>;
 ///  * try_schedule is atomic: on false, the load table is exactly as it was
 ///    (partial claims rolled back); on true, every declared demand has been
 ///    charged (reversible by one decrement_load per demand).
-///  * would_admit is a pure read and must never pass when a serialized
-///    try_schedule against the same monitor state would fail — the rescan
-///    loop relies on would_admit ⇒ try_schedule under the slow-lane lock.
+///  * would_admit is a pure read of `load` and must never pass when a
+///    serialized try_schedule against the state `load` read would fail —
+///    the rescan loop relies on would_admit ⇒ try_schedule under the
+///    slow-lane lock, refreshing its view after every charge.
 ///  * Forced charges (kWeightedSum / kPriorityOrdered overflow) go through
 ///    increment_load, which books the shortfall as overdraft, so the
 ///    per-kind Σusage+Σfree−overdraft == bound invariant holds throughout.
@@ -137,9 +138,10 @@ class CombiningPolicy {
   virtual CombinerKind kind() const = 0;
   virtual std::string name() const = 0;
 
-  /// Decision only, no load change.
+  /// Decision only, no load change. Reads the load through `load`, so a
+  /// scan judging many vectors against one load table reads it once.
   virtual bool would_admit(const std::vector<ResourceDemand>& demands,
-                           const ResourceMonitor& resources,
+                           LoadView& load,
                            const PolicyTable& policies) const = 0;
 
   /// Decision + all-or-nothing charge on `stripe`.

@@ -52,15 +52,19 @@ class SchedulingPredicate {
 
   /// Vector decision only, no load change — used for group (thread-pool)
   /// checks, where the pool's summed per-resource demands are the vector.
+  /// Reads the load afresh.
   bool would_admit(const std::vector<ResourceDemand>& demands) const {
-    return combiner_->would_admit(demands, *resources_, policies_);
+    LoadView load(*resources_);
+    return combiner_->would_admit(demands, load, policies_);
   }
 
   /// Multi-resource decision only: the exact check try_schedule performs,
   /// without the load charge — used by wake strategies to enumerate fitting
-  /// waitlist candidates before committing to one.
-  bool would_admit(const PeriodRecord& pp) const {
-    return combiner_->would_admit(pp.demands, *resources_, policies_);
+  /// waitlist candidates before committing to one. `load` is the scan's
+  /// view of this predicate's monitor; the caller refreshes it after every
+  /// charge.
+  bool would_admit(const PeriodRecord& pp, LoadView& load) const {
+    return combiner_->would_admit(pp.demands, load, policies_);
   }
 
   const SchedulingPolicy& policy() const {

@@ -267,11 +267,25 @@ void ProgressMonitor::rescan(double now) {
   //    fits check is side-effect-free; the load charge happens only after a
   //    candidate is committed, so a strategy can rank all fitting entries
   //    against the same free capacity.
+  //
+  //    The fits checks read the load through one LoadView: each kind is
+  //    read once (a striped usage sum) and reused for every waiter until
+  //    the scan's own charge moves it, after which the view is refreshed.
+  //    Serialized callers (the simulator, the service front end) change
+  //    the load only through that charge, so every decision is the one a
+  //    per-waiter re-read would make. Under the native gate the view can
+  //    go stale two ways, and neither loses a wake: a concurrent fast-lane
+  //    admission that claims budget the view still shows makes
+  //    try_schedule fail, which re-parks the waiter and ends the scan, as
+  //    before; a fast-lane release that frees budget mid-scan finds
+  //    slow_work_pending() true in its Dekker re-check and rescans under
+  //    slow_mu_ itself once this scan lets go.
+  LoadView load(*resources_);
   const auto fits = [&](const Waitlist::Entry& e) {
     if (options_.pool_guard && pool_disabled(e.process)) return false;
     const PeriodRecord* record = registry_.find(e.period);
     RDA_CHECK(record != nullptr);
-    return predicate_->would_admit(*record);
+    return predicate_->would_admit(*record, load);
   };
   for (;;) {
     const std::size_t i = strategy_->select(waitlist_.entries(), fits);
@@ -287,6 +301,7 @@ void ProgressMonitor::rescan(double now) {
       waitlist_.restore(std::move(e));
       break;
     }
+    load.refresh();
     admit(e.period);
     wake_entry(e, now);
   }

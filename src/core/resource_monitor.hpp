@@ -159,4 +159,33 @@ class ResourceMonitor {
   std::array<std::atomic<double>, kNumResourceKinds> overdraft_{};
 };
 
+/// One decision pass's read of the load table. The first state(kind) reads
+/// that kind from the monitor (capacity + the striped usage sum); later
+/// calls reuse it until refresh(). Lazy per kind, so a pass that only ever
+/// asks about the LLC pays for the LLC alone. Lives on the caller's stack:
+/// whoever changes the load mid-pass (a charge) calls refresh() after it.
+class LoadView {
+ public:
+  explicit LoadView(const ResourceMonitor& resources)
+      : resources_(&resources) {}
+
+  const ResourceState& state(ResourceKind kind) {
+    const auto k = static_cast<std::size_t>(kind);
+    const std::uint32_t bit = 1u << k;
+    if ((read_ & bit) == 0) {
+      states_[k] = resources_->state(kind);
+      read_ |= bit;
+    }
+    return states_[k];
+  }
+
+  /// Forgets every cached kind; the next state() re-reads the monitor.
+  void refresh() { read_ = 0; }
+
+ private:
+  const ResourceMonitor* resources_;
+  std::array<ResourceState, kNumResourceKinds> states_{};
+  std::uint32_t read_ = 0;  ///< bit k set: states_[k] is current
+};
+
 }  // namespace rda::core

@@ -52,15 +52,13 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
     if (opts.trace_sink == nullptr) opts.trace_sink = config_.trace_sink;
     ledger_ = std::make_unique<core::TenantLedger>(opts);
   }
-  // Every shard queue gets the FULL global capacity: the overflow decision
-  // is made against the global backlog in enqueue(), so a per-shard push
-  // must never fail on its own — even if the tenant hash sends everything
-  // to one shard.
+  // A shard's staging deque has no bound of its own: the overflow decision
+  // is made against the global backlog in enqueue(), so drops stay
+  // K-invariant even if the tenant hash sends everything to one shard.
   shards_.resize(static_cast<std::size_t>(num_shards_));
-  for (DrainShard& shard : shards_) {
-    shard.queue =
-        std::make_unique<SubmissionQueue<Sub>>(config_.queue_capacity);
-  }
+  release_ids_.resize(static_cast<std::size_t>(config_.nodes));
+  release_times_.resize(static_cast<std::size_t>(config_.nodes));
+  node_batches_.resize(static_cast<std::size_t>(config_.nodes));
   cores_.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
     core::AdmissionConfig cc;
@@ -124,12 +122,10 @@ void ServiceFrontEnd::enqueue(const Sub& sub, double at) {
     ++stats_.overflow_drops;  // never entered the ledger
     return;
   }
-  Sub queued = sub;
-  queued.enqueue_time = at;
   DrainShard& shard =
       shards_[static_cast<std::size_t>(shard_for_tenant(sub.tenant))];
-  RDA_CHECK_MSG(shard.queue->push(queued),
-                "shard queue full below the global capacity bound");
+  shard.staged.push_back(sub);
+  shard.staged.back().enqueue_time = at;
   ++queue_backlog_;
   ++shard.counters.enqueued;
   ++stats_.enqueued;
@@ -463,10 +459,12 @@ void ServiceFrontEnd::on_wakes(
 void ServiceFrontEnd::release_due(double now) {
   // Pop everything due, bucketing per node so each node pays ONE
   // release_batch (one slow-lane pass + one wake delivery) per drain.
-  std::vector<std::vector<core::PeriodId>> due(
-      static_cast<std::size_t>(config_.nodes));
-  std::vector<std::vector<double>> done_times(
-      static_cast<std::size_t>(config_.nodes));
+  std::vector<std::vector<core::PeriodId>>& due = release_ids_;
+  std::vector<std::vector<double>>& done_times = release_times_;
+  for (std::size_t n = 0; n < due.size(); ++n) {
+    due[n].clear();
+    done_times[n].clear();
+  }
   while (!completions_.empty() && completions_.top().time <= now) {
     const Completion top = completions_.top();
     completions_.pop();
@@ -620,29 +618,32 @@ void ServiceFrontEnd::apply_fault(double now) {
 void ServiceFrontEnd::steal_pass(double now) {
   if (config_.routing != RoutePolicy::kLocalityAware) return;
 
+  // Thief: the first up node with nothing in flight and nothing parked.
+  // Most ticks have none, and then the parked population is never walked.
+  int thief = -1;
+  for (int n = 0; n < config_.nodes; ++n) {
+    const auto idx = static_cast<std::size_t>(n);
+    if (node_up_[idx] && in_flight_count_[idx] == 0 &&
+        parked_depth_[idx] == 0) {
+      thief = n;
+      break;
+    }
+  }
+  if (thief < 0 || parked_.empty()) return;
+
   // Aggregate the parked population per (node, tenant). The map is ordered
   // and the per-batch key lists are sorted, so the pass is deterministic
   // regardless of hash-map iteration order.
   std::map<std::pair<int, std::uint64_t>, std::vector<std::uint64_t>>
       batches;
-  std::vector<std::size_t> parked_count(
-      static_cast<std::size_t>(config_.nodes), 0);
   for (const auto& [key, parked] : parked_) {
     batches[{parked.node, parked.sub.tenant}].push_back(key);
-    ++parked_count[static_cast<std::size_t>(parked.node)];
   }
-  if (batches.empty()) return;
-
-  int thief = -1;
-  for (int n = 0; n < config_.nodes; ++n) {
-    const auto idx = static_cast<std::size_t>(n);
-    if (node_up_[idx] && in_flight_count_[idx] == 0 &&
-        parked_count[idx] == 0) {
-      thief = n;
-      break;
-    }
+  std::vector<std::size_t> tenants_on(static_cast<std::size_t>(config_.nodes),
+                                      0);
+  for (const auto& [node_tenant, keys] : batches) {
+    ++tenants_on[static_cast<std::size_t>(node_tenant.first)];
   }
-  if (thief < 0) return;
 
   // Donor: the node with the deepest parked backlog, but only if it holds
   // MORE than one tenant's batch — stealing a lone tenant's batch would
@@ -651,14 +652,10 @@ void ServiceFrontEnd::steal_pass(double now) {
   std::size_t donor_depth = 0;
   for (int n = 0; n < config_.nodes; ++n) {
     const auto idx = static_cast<std::size_t>(n);
-    if (n == thief || parked_count[idx] == 0) continue;
-    std::size_t tenants_here = 0;
-    for (const auto& [node_tenant, keys] : batches) {
-      if (node_tenant.first == n) ++tenants_here;
-    }
-    if (tenants_here >= 2 && parked_count[idx] > donor_depth) {
+    if (n == thief || parked_depth_[idx] == 0) continue;
+    if (tenants_on[idx] >= 2 && parked_depth_[idx] > donor_depth) {
       donor = n;
-      donor_depth = parked_count[idx];
+      donor_depth = parked_depth_[idx];
     }
   }
   if (donor < 0) return;
@@ -709,7 +706,15 @@ void ServiceFrontEnd::steal_pass(double now) {
                 static_cast<double>(moved));
 }
 
-std::vector<ServiceFrontEnd::Sub> ServiceFrontEnd::merge_drain_batch() {
+void ServiceFrontEnd::NodeBatch::clear() {
+  requests.clear();
+  subs.clear();
+  declared.clear();
+  penalties.clear();
+  warm.clear();
+}
+
+void ServiceFrontEnd::merge_drain_batch() {
   // Requeues first, in ascending seniority: displaced work keeps its
   // place. Each mailbox sorts its own entries; the global sort restores
   // decision order across shards (a steal and a reroute landing in the
@@ -723,32 +728,24 @@ std::vector<ServiceFrontEnd::Sub> ServiceFrontEnd::merge_drain_batch() {
               return a.seniority < b.seniority;
             });
 
-  std::vector<Sub> popped;
-  popped.reserve(requeues.size());
+  std::vector<Sub>& popped = pass_subs_;
+  popped.clear();
   for (Mailbox<Sub>::Entry& entry : requeues) {
     const int shard = shard_for_tenant(entry.value.tenant);
     ++shards_[static_cast<std::size_t>(shard)].counters.drained;
     popped.push_back(std::move(entry.value));
   }
 
-  // Top up each shard's staging runway to the full batch cap. The merge
-  // below then yields a true global-FIFO prefix: a shard that contributed
-  // fewer than cap entries has an EMPTY queue, so no submission it holds
-  // could have outranked one the merge took.
+  // The deepest runway a pass can draw from is one batch cap.
   for (DrainShard& shard : shards_) {
-    if (shard.staged.size() < config_.drain_batch_max) {
-      std::vector<Sub> refill;
-      shard.queue->pop_batch(refill,
-                             config_.drain_batch_max - shard.staged.size());
-      for (Sub& sub : refill) shard.staged.push_back(std::move(sub));
-    }
     shard.counters.peak_staged = std::max(
         shard.counters.peak_staged,
-        static_cast<std::uint64_t>(shard.staged.size()));
+        static_cast<std::uint64_t>(
+            std::min(shard.staged.size(), config_.drain_batch_max)));
   }
 
   // K-way min-seq merge of the runway heads. Fresh arrivals enter their
-  // shard queue in ascending global seq, so each runway is an ascending
+  // shard's deque in ascending global seq, so each runway is an ascending
   // subsequence and picking the smallest head reconstructs the order a
   // single queue would have popped — byte-identical for any K.
   std::size_t room = popped.size() < config_.drain_batch_max
@@ -770,7 +767,6 @@ std::vector<ServiceFrontEnd::Sub> ServiceFrontEnd::merge_drain_batch() {
     --queue_backlog_;
     --room;
   }
-  return popped;
 }
 
 void ServiceFrontEnd::drain_pass(double now) {
@@ -778,7 +774,8 @@ void ServiceFrontEnd::drain_pass(double now) {
   // decision this pass — enforcement always acts on settled evidence.
   apply_audits();
 
-  std::vector<Sub> popped = merge_drain_batch();
+  merge_drain_batch();
+  std::vector<Sub>& popped = pass_subs_;
   if (popped.empty()) return;
 
   ++stats_.drains;
@@ -807,11 +804,12 @@ void ServiceFrontEnd::drain_pass(double now) {
                 });
       for (std::size_t i = 0; i < keep; ++i) kept[order[i]] = 1;
     }
-    std::vector<Sub> survivors;
-    survivors.reserve(keep);
+    // Survivors are compacted to the front in order and proceed to
+    // admission.
+    std::size_t survivors = 0;
     for (std::size_t i = 0; i < popped.size(); ++i) {
       if (kept[i] != 0) {
-        survivors.push_back(popped[i]);
+        popped[survivors++] = popped[i];
         continue;
       }
       ++stats_.shed;
@@ -821,8 +819,8 @@ void ServiceFrontEnd::drain_pass(double now) {
       trace_service(obs::EventKind::kShed, now, popped[i].seq,
                     popped[i].tenant, popped[i].demand);
     }
-    if (survivors.empty()) return;
-    popped.swap(survivors);  // survivors proceed to admission, in order
+    popped.resize(survivors);
+    if (popped.empty()) return;
   }
 
   if (ledger_ != nullptr) {
@@ -840,14 +838,8 @@ void ServiceFrontEnd::drain_pass(double now) {
 
   // Route every submission, bucketing requests per node so each node pays
   // ONE admit_batch for its whole share of the drain.
-  struct NodeBatch {
-    std::vector<core::AdmitRequest> requests;
-    std::vector<const Sub*> subs;
-    std::vector<DemandVector> declared;
-    std::vector<double> penalties;
-    std::vector<bool> warm;
-  };
-  std::vector<NodeBatch> batches(static_cast<std::size_t>(config_.nodes));
+  std::vector<NodeBatch>& batches = node_batches_;
+  for (NodeBatch& batch : batches) batch.clear();
   for (const Sub& sub : popped) {
     double penalty = 1.0;
     bool clamped = false;
@@ -917,8 +909,8 @@ void ServiceFrontEnd::update_ladder() {
   // the GLOBAL depth above, so escalation decisions are identical for any
   // shard count (a per-shard trigger would make admission depend on K).
   for (DrainShard& shard : shards_) {
-    const auto local = static_cast<double>(
-        shard.queue->size() + shard.staged.size() + shard.inbox.size());
+    const auto local =
+        static_cast<double>(shard.staged.size() + shard.inbox.size());
     shard.counters.backlog_ewma =
         alpha * local + (1.0 - alpha) * shard.counters.backlog_ewma;
   }

@@ -3,27 +3,28 @@
 // Wires the open-loop arrival stream into the sharded AdmissionCore the way
 // a production service would: arrivals are routed AT PUSH TIME to one of K
 // drain shards (a seeded hash of the tenant id — K defaults to the node
-// count), each with its own bounded MPSC submission queue; the drain loop
-// runs on a fixed virtual-time cadence and, per pass, (1) releases every
-// period whose service completed, (2) lets an idle node steal a parked
-// tenant batch, (3) drains each shard's mailbox and queue, merges the
-// shard streams into one deterministic batch, routes each submission to a
-// node, and admits each node's share with ONE admit_batch/release_batch
-// call — so the slow-lane mutex, the waitlist rescan, and the wake
-// delivery are paid once per node per pass instead of once per period.
+// count), each with its own staging deque, under one global queue_capacity
+// bound; the drain loop runs on a fixed virtual-time cadence and, per pass,
+// (1) releases every period whose service completed, (2) lets an idle node
+// steal a parked tenant batch, (3) drains each shard's mailbox and staging
+// deque, merges the shard streams into one deterministic batch, routes each
+// submission to a node, and admits each node's share with ONE
+// admit_batch/release_batch call — so the slow-lane mutex, the waitlist
+// rescan, and the wake delivery are paid once per node per pass instead of
+// once per period.
 //
-// Sharded drain execution model (DESIGN §16). Each shard is the sole
-// consumer of its own queue; cross-shard effects (steals, node-death
-// reroutes) go through seniority-ordered per-shard mailboxes drained at
-// pass start, so no shard ever touches another shard's queue tail. In
-// virtual time the shards run lockstep rounds and the pass merges their
-// streams back into the canonical global order — all mailbox requeues
-// first (ascending seniority = decision order), then a k-way min-seq merge
-// of the shard staging runways — so the run is byte-identical for ANY
-// shard count: K=1, K=4, and K=16 produce the same checksum, the same
-// trace, the same CSV. The overload ladder stays global for the same
-// reason (per-shard EWMAs would make admission decisions depend on K);
-// per-shard backlog EWMAs exist but are observability-only.
+// Sharded drain execution model (DESIGN §16). Each shard owns its staging
+// deque; cross-shard effects (steals, node-death reroutes) go through
+// seniority-ordered per-shard mailboxes drained at pass start, so no shard
+// ever touches another shard's deque. In virtual time the shards run
+// lockstep rounds and the pass merges their streams back into the
+// canonical global order — all mailbox requeues first (ascending seniority
+// = decision order), then a k-way min-seq merge of the shard staging
+// deques — so the run is byte-identical for ANY shard count: K=1, K=4, and
+// K=16 produce the same checksum, the same trace, the same CSV. The
+// overload ladder stays global for the same reason (per-shard EWMAs would
+// make admission decisions depend on K); per-shard backlog EWMAs exist but
+// are observability-only.
 //
 // Placement is locality-aware: a tenant's periods follow its home node (the
 // one already holding its LLC working set — warm periods run faster by
@@ -65,7 +66,6 @@
 #include "obs/histogram.hpp"
 #include "obs/sink.hpp"
 #include "service/arrival.hpp"
-#include "service/queue.hpp"
 #include "service/shard.hpp"
 #include "util/rng.hpp"
 
@@ -101,8 +101,8 @@ struct NodeFault {
 struct ServiceConfig {
   int nodes = 4;
   /// Drain shards (K): submissions are routed at push time to shard
-  /// shard_of_tenant(seed, tenant, K), each shard owning its own bounded
-  /// queue. 0 = one shard per node. Byte-determinism holds for ANY K — the
+  /// shard_of_tenant(seed, tenant, K), each shard owning its own staging
+  /// deque. 0 = one shard per node. Byte-determinism holds for ANY K — the
   /// lockstep merge restores the canonical global order — so K is purely a
   /// concurrency knob for the wall-clock pump, never a behavior knob.
   int drain_shards = 0;
@@ -116,6 +116,8 @@ struct ServiceConfig {
   RoutePolicy routing = RoutePolicy::kLocalityAware;
   double drain_interval_seconds = 1.0e-3;
   std::size_t drain_batch_max = 4096;
+  /// Global bound on accepted-but-undrained submissions, summed over the
+  /// shards; an arrival past it is an overflow drop.
   std::size_t queue_capacity = 1 << 16;
   LadderOptions ladder{};
   /// Rung-2 under-declaration factor (the paper's Compromise x).
@@ -213,7 +215,7 @@ struct ShardCounters {
   std::uint64_t mail_in = 0;      ///< requeues drained from this inbox
   std::uint64_t mail_out = 0;     ///< requeues this shard's nodes displaced
   std::uint64_t peak_staged = 0;  ///< deepest staging runway seen
-  double backlog_ewma = 0.0;      ///< smoothed queue+staged+inbox depth
+  double backlog_ewma = 0.0;      ///< smoothed staged+inbox depth
 };
 
 /// Per-tenant outcome ledger, tracked in every run (enforcement on or off)
@@ -291,7 +293,7 @@ class ServiceFrontEnd {
   /// Per-resource declared demand, indexed by ResourceKind.
   using DemandVector = std::array<double, kNumResourceKinds>;
 
-  /// One queued submission (the MPSC queue element).
+  /// One queued submission (a drain shard's staging element).
   struct Sub {
     std::uint64_t seq = 0;
     std::uint64_t tenant = 1;
@@ -330,13 +332,12 @@ class ServiceFrontEnd {
     }
   };
 
-  /// One drain shard: its own MPSC queue (this shard is the sole
-  /// consumer), the staging runway the lockstep merge pulls from (popped
-  /// off the queue but not yet merged into a batch — keeping it per shard
-  /// preserves the per-queue FIFO prefix the min-seq merge needs), and the
-  /// seniority-ordered inbox for cross-shard requeues.
+  /// One drain shard: the staging runway its fresh arrivals wait on in
+  /// ascending seq until the lockstep merge pulls them into a batch
+  /// (keeping it per shard preserves the per-shard FIFO order the min-seq
+  /// merge needs), and the seniority-ordered inbox for cross-shard
+  /// requeues. The run is single-threaded, so plain containers suffice.
   struct DrainShard {
-    std::unique_ptr<SubmissionQueue<Sub>> queue;
     std::deque<Sub> staged;
     Mailbox<Sub> inbox;
     ShardCounters counters;
@@ -344,6 +345,17 @@ class ServiceFrontEnd {
     /// each stamped with a GLOBAL completion-order seq; apply_audits()
     /// merges the slices by seq so ledger state is K-invariant.
     std::vector<core::AuditRecord> audit_slice;
+  };
+
+  /// One node's share of a drain pass, admitted with one admit_batch.
+  struct NodeBatch {
+    std::vector<core::AdmitRequest> requests;
+    std::vector<const Sub*> subs;
+    std::vector<DemandVector> declared;
+    std::vector<double> penalties;
+    std::vector<bool> warm;
+
+    void clear();
   };
 
   static std::uint64_t flight_key(int node, core::PeriodId period);
@@ -397,11 +409,11 @@ class ServiceFrontEnd {
   std::size_t backlog() const;
   void fold_checksum(std::uint64_t a, std::uint64_t b);
 
-  /// Assembles the pass's drain batch: all mailbox requeues in ascending
-  /// seniority (decision order), then a k-way min-seq merge of the shard
-  /// staging runways up to drain_batch_max. The result is the canonical
-  /// global order for any shard count.
-  std::vector<Sub> merge_drain_batch();
+  /// Assembles the pass's drain batch into pass_subs_: all mailbox
+  /// requeues in ascending seniority (decision order), then a k-way min-seq
+  /// merge of the shard staging runways up to drain_batch_max. The result
+  /// is the canonical global order for any shard count.
+  void merge_drain_batch();
   std::size_t inbox_backlog() const;
 
   ServiceConfig config_;
@@ -412,10 +424,10 @@ class ServiceFrontEnd {
   /// (globally sequential) fault/steal phases, so ascending seniority
   /// replays displaced work in exactly the order it was displaced.
   std::uint64_t requeue_seq_ = 0;
-  /// Submissions accepted but not yet merged into a drain batch (queues +
-  /// staging runways, summed over shards). The overflow decision tests
-  /// this GLOBAL count against queue_capacity — per-shard occupancy varies
-  /// with K, the global backlog does not, so drops are K-invariant.
+  /// Submissions accepted but not yet merged into a drain batch (staging
+  /// runways, summed over shards). The overflow decision tests this GLOBAL
+  /// count against queue_capacity — per-shard occupancy varies with K, the
+  /// global backlog does not, so drops are K-invariant.
   std::size_t queue_backlog_ = 0;
   util::Rng rng_;
   double now_ = 0.0;
@@ -451,6 +463,14 @@ class ServiceFrontEnd {
   std::vector<double> true_outstanding_;
   /// Per-tenant outcome rows (always tracked; ordered for the report).
   std::map<std::uint64_t, TenantSummary> tenant_rows_;
+
+  /// Per-pass buffers, cleared and refilled every drain pass so a pass
+  /// reuses the previous one's capacity: the merged drain batch, each
+  /// node's admit share, and each node's due completions and their times.
+  std::vector<Sub> pass_subs_;
+  std::vector<NodeBatch> node_batches_;
+  std::vector<std::vector<core::PeriodId>> release_ids_;
+  std::vector<std::vector<double>> release_times_;
 
   ServiceStats stats_;
   obs::LatencyHistogram latency_;

@@ -1,9 +1,9 @@
 // Lock-light bounded MPSC submission queue (Vyukov's array queue).
 //
-// The front door of the service: producer threads (or the virtual-time
-// arrival loop) push submissions with one CAS-free fetch_add-style ticket
-// per slot, and the single drain loop pops them in FIFO order, a batch at
-// a time. The classic Dmitry Vyukov bounded-MPMC sequence scheme is used
+// The front door of the wall-clock service pump: producer threads push
+// submissions with one CAS-free fetch_add-style ticket per slot, and the
+// single drain loop pops them in FIFO order, a batch at a time. (The
+// single-threaded virtual-time front end stages in plain deques instead.) The classic Dmitry Vyukov bounded-MPMC sequence scheme is used
 // — each cell carries a sequence number the producer/consumer compare
 // against their ticket, so neither side ever takes a lock and a full or
 // empty queue is detected without blocking.

@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "obs/recorder.hpp"
 #include "obs/reconcile.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace rda::core {
@@ -347,6 +353,183 @@ TEST(AdmissionBatch, EndPeriodsUsesOneRescanForTheWholeBatch) {
   ASSERT_EQ(woken.size(), 1u);
   EXPECT_EQ(woken[0], 3u);
   core.release(big.id, {}, 2.0);
+  EXPECT_TRUE(core.audit().ok) << core.audit().detail;
+}
+
+// --- Wake-scan differential (one load read per kind per rescan) --------------
+
+/// Serialized reference of Algorithm 1's wake scan: a request is admitted
+/// iff every demand fits its bound; a release returns the load, then scans
+/// the waiters in arrival order, admitting each one that fits and charging
+/// it before judging the next.
+struct ReferenceCore {
+  std::array<double, kNumResourceKinds> bound{};
+  std::array<double, kNumResourceKinds> usage{};
+  std::deque<std::pair<sim::ThreadId, std::vector<ResourceDemand>>> waiters;
+  std::map<sim::ThreadId, std::vector<ResourceDemand>> admitted;
+
+  bool fits(const std::vector<ResourceDemand>& demands) const {
+    for (const ResourceDemand& d : demands) {
+      const auto k = static_cast<std::size_t>(d.resource);
+      if (usage[k] + d.amount > bound[k]) return false;
+    }
+    return true;
+  }
+  void charge(sim::ThreadId thread, std::vector<ResourceDemand> demands) {
+    for (const ResourceDemand& d : demands) {
+      usage[static_cast<std::size_t>(d.resource)] += d.amount;
+    }
+    admitted.emplace(thread, std::move(demands));
+  }
+  bool admit(sim::ThreadId thread, std::vector<ResourceDemand> demands) {
+    if (fits(demands)) {
+      charge(thread, std::move(demands));
+      return true;
+    }
+    waiters.emplace_back(thread, std::move(demands));
+    return false;
+  }
+  std::vector<sim::ThreadId> release(const std::vector<sim::ThreadId>& done) {
+    for (const sim::ThreadId t : done) {
+      for (const ResourceDemand& d : admitted.at(t)) {
+        usage[static_cast<std::size_t>(d.resource)] -= d.amount;
+      }
+      admitted.erase(t);
+    }
+    std::vector<sim::ThreadId> woken;
+    for (auto it = waiters.begin(); it != waiters.end();) {
+      if (!fits(it->second)) {
+        ++it;
+        continue;
+      }
+      woken.push_back(it->first);
+      charge(it->first, std::move(it->second));
+      it = waiters.erase(it);
+    }
+    return woken;
+  }
+};
+
+TEST(AdmissionCore, WakeScanMatchesSerialReference) {
+  // Seeded park/release sequences through the batched and per-call entry
+  // points. Capacities are 16 units and demands whole units (MB, GB/s, W),
+  // so every budget split and sum is exact and the reference's plain
+  // arithmetic decides exactly what the striped budget does.
+  constexpr std::array<ResourceKind, 3> kKinds = {
+      ResourceKind::kLLC, ResourceKind::kMemBandwidth,
+      ResourceKind::kEnergyBudget};
+  constexpr std::array<double, 3> kUnit = {1024.0 * 1024.0, 1e9, 1.0};
+  for (const PolicyKind policy : {PolicyKind::kStrict, PolicyKind::kCompromise}) {
+    for (std::size_t kinds = 1; kinds <= 3; ++kinds) {
+      SCOPED_TRACE(to_string(policy) + ", " + std::to_string(kinds) +
+                   " resource kind(s)");
+      AdmissionConfig config;
+      config.policy = policy;
+      config.llc_capacity_bytes = 16 * kUnit[0];
+      if (kinds >= 2) config.bandwidth_capacity = 16 * kUnit[1];
+      if (kinds >= 3) config.energy_capacity_watts = 16 * kUnit[2];
+      AdmissionCore core(config);
+      std::vector<sim::ThreadId> woken;
+      core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+
+      const double factor =
+          policy == PolicyKind::kCompromise ? config.oversubscription : 1.0;
+      ReferenceCore ref;
+      for (std::size_t k = 0; k < kinds; ++k) {
+        ref.bound[static_cast<std::size_t>(kKinds[k])] = factor * 16 * kUnit[k];
+      }
+
+      util::Rng rng(7 + 10 * kinds + static_cast<std::uint64_t>(policy));
+      std::map<sim::ThreadId, PeriodId> ids;
+      sim::ThreadId next_thread = 1;
+      for (int op = 0; op < 2000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        woken.clear();
+        std::vector<sim::ThreadId> expect_woken;
+        const std::size_t n = 1 + rng.next_below(3);
+        if (ref.admitted.empty() || rng.next_bool(0.55)) {
+          std::vector<AdmitRequest> reqs;
+          std::vector<bool> expect_admitted;
+          for (std::size_t i = 0; i < n; ++i) {
+            AdmitRequest r = request(next_thread++, 0.0);
+            r.demands.clear();
+            for (std::size_t k = 0; k < kinds; ++k) {
+              if (k > 0 && rng.next_bool(0.3)) continue;
+              r.demands.push_back(
+                  {kKinds[k],
+                   static_cast<double>(1 + rng.next_below(12)) * kUnit[k]});
+            }
+            expect_admitted.push_back(ref.admit(r.thread, r.demands));
+            reqs.push_back(std::move(r));
+          }
+          std::vector<AdmitTicket> tickets;
+          if (rng.next_bool(0.5)) {
+            tickets = core.admit_batch(reqs, 0.0);
+          } else {
+            for (AdmitRequest& r : reqs) {
+              tickets.push_back(core.admit(std::move(r), 0.0));
+            }
+          }
+          for (std::size_t i = 0; i < tickets.size(); ++i) {
+            EXPECT_EQ(tickets[i].admitted, expect_admitted[i]) << i;
+            ids[next_thread - n + i] = tickets[i].id;
+          }
+        } else {
+          std::vector<sim::ThreadId> done;
+          for (std::size_t i = 0; i < n && i < ref.admitted.size(); ++i) {
+            auto it = ref.admitted.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.next_below(ref.admitted.size())));
+            if (std::find(done.begin(), done.end(), it->first) == done.end()) {
+              done.push_back(it->first);
+            }
+          }
+          std::vector<PeriodId> done_ids;
+          for (const sim::ThreadId t : done) done_ids.push_back(ids.at(t));
+          expect_woken = ref.release(done);
+          if (done_ids.size() == 1 && rng.next_bool(0.5)) {
+            core.release(done_ids.front(), {}, 0.0);
+          } else {
+            core.release_batch(done_ids, 0.0);
+          }
+        }
+        ASSERT_EQ(woken, expect_woken);
+        for (std::size_t k = 0; k < kinds; ++k) {
+          ASSERT_EQ(core.resources().usage(kKinds[k]),
+                    ref.usage[static_cast<std::size_t>(kKinds[k])])
+              << to_string(kKinds[k]);
+        }
+        ASSERT_EQ(core.monitor().waitlist().size(), ref.waiters.size());
+      }
+      EXPECT_EQ(core.stats().forced_admissions, 0u);
+      EXPECT_TRUE(core.audit().ok) << core.audit().detail;
+    }
+  }
+}
+
+TEST(AdmissionCore, WakeScanChargesEachWakeBeforeJudgingTheNext) {
+  // Waiters of 6, 6 and 2 MB on 10 MB, released together: the first and
+  // third must wake. A scan that judged the second waiter against the load
+  // read before the first one's charge would pass it, fail its charge,
+  // stop, and strand the third.
+  AdmissionConfig config;
+  config.llc_capacity_bytes = mb(10);
+  AdmissionCore core(config);
+  std::vector<sim::ThreadId> woken;
+  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+
+  const AdmitTicket a = core.admit(request(1, mb(5)), 0.0);
+  const AdmitTicket b = core.admit(request(2, mb(5)), 0.0);
+  ASSERT_TRUE(a.admitted && b.admitted);
+  for (sim::ThreadId t : {3u, 4u}) {
+    ASSERT_FALSE(core.admit(request(t, mb(6)), 0.1).admitted);
+  }
+  ASSERT_FALSE(core.admit(request(5, mb(2)), 0.1).admitted);
+
+  core.release_batch({a.id, b.id}, 1.0);
+  EXPECT_EQ(woken, (std::vector<sim::ThreadId>{3, 5}));
+  EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), mb(8));
+  EXPECT_EQ(core.monitor().waitlist().size(), 1u);
   EXPECT_TRUE(core.audit().ok) << core.audit().detail;
 }
 

@@ -56,7 +56,14 @@ struct CombinerFixture {
     }
   }
 
+  /// A freshly read view of `resources`, for one would_admit call.
+  LoadView& view() {
+    load = LoadView(resources);
+    return load;
+  }
+
   ResourceMonitor resources;
+  LoadView load{resources};
   std::unique_ptr<SchedulingPolicy> strict;
   PolicyTable policies{};
 };
@@ -68,7 +75,7 @@ TEST(Combiner, AllMustFitRejectsWhenAnyResourceOverflows) {
   const std::vector<ResourceDemand> demands = {
       {ResourceKind::kLLC, static_cast<double>(MB(1))},
       {ResourceKind::kEnergyBudget, kWattsCap + 5.0}};
-  EXPECT_FALSE(combiner.would_admit(demands, fx.resources, fx.policies));
+  EXPECT_FALSE(combiner.would_admit(demands, fx.view(), fx.policies));
   EXPECT_FALSE(combiner.try_schedule(demands, 0, fx.resources, fx.policies));
   // Atomicity: the fitting LLC component must NOT have been charged.
   fx.expect_all_zero_usage();
@@ -82,7 +89,7 @@ TEST(Combiner, AllMustFitChargesAndReleasesEveryKind) {
       {ResourceKind::kLLC, static_cast<double>(MB(4))},
       {ResourceKind::kMemBandwidth, 10e9},
       {ResourceKind::kEnergyBudget, 8.0}};
-  ASSERT_TRUE(combiner.would_admit(demands, fx.resources, fx.policies));
+  ASSERT_TRUE(combiner.would_admit(demands, fx.view(), fx.policies));
   ASSERT_TRUE(combiner.try_schedule(demands, 3, fx.resources, fx.policies));
   EXPECT_NEAR(fx.resources.usage(ResourceKind::kLLC),
               static_cast<double>(MB(4)), 1.0);
@@ -109,7 +116,7 @@ TEST(Combiner, WeightedSumCompensatesAcrossResources) {
   const std::vector<ResourceDemand> demands = {
       {ResourceKind::kLLC, 18.0 * 1024.0 * 1024.0},
       {ResourceKind::kEnergyBudget, 1.0}};
-  ASSERT_TRUE(combiner->would_admit(demands, fx.resources, fx.policies));
+  ASSERT_TRUE(combiner->would_admit(demands, fx.view(), fx.policies));
   ASSERT_TRUE(combiner->try_schedule(demands, 0, fx.resources, fx.policies));
   EXPECT_GT(fx.resources.overdraft(ResourceKind::kLLC), 0.0);
   fx.expect_invariant();
@@ -120,7 +127,7 @@ TEST(Combiner, WeightedSumCompensatesAcrossResources) {
   const std::vector<ResourceDemand> heavy = {
       {ResourceKind::kLLC, 14.0 * 1024.0 * 1024.0},
       {ResourceKind::kEnergyBudget, 1.0}};
-  EXPECT_FALSE(combiner->would_admit(heavy, fx.resources, fx.policies));
+  EXPECT_FALSE(combiner->would_admit(heavy, fx.view(), fx.policies));
   EXPECT_FALSE(combiner->try_schedule(heavy, 0, fx.resources, fx.policies));
   EXPECT_DOUBLE_EQ(fx.resources.usage(ResourceKind::kLLC), usage_before);
 
@@ -143,7 +150,7 @@ TEST(Combiner, PriorityOrderedGatesOnTheFrontDemand) {
   const std::vector<ResourceDemand> demands = {
       {ResourceKind::kLLC, static_cast<double>(MB(4))},
       {ResourceKind::kEnergyBudget, kWattsCap + 10.0}};
-  ASSERT_TRUE(combiner->would_admit(demands, fx.resources, fx.policies));
+  ASSERT_TRUE(combiner->would_admit(demands, fx.view(), fx.policies));
   ASSERT_TRUE(combiner->try_schedule(demands, 0, fx.resources, fx.policies));
   EXPECT_GT(fx.resources.overdraft(ResourceKind::kEnergyBudget), 0.0);
   fx.expect_invariant();
@@ -156,7 +163,7 @@ TEST(Combiner, PriorityOrderedGatesOnTheFrontDemand) {
   const std::vector<ResourceDemand> blocked = {
       {ResourceKind::kLLC, 20.0 * 1024.0 * 1024.0},
       {ResourceKind::kEnergyBudget, 1.0}};
-  EXPECT_FALSE(combiner->would_admit(blocked, fx.resources, fx.policies));
+  EXPECT_FALSE(combiner->would_admit(blocked, fx.view(), fx.policies));
   EXPECT_FALSE(combiner->try_schedule(blocked, 0, fx.resources, fx.policies));
   fx.expect_all_zero_usage();
   fx.expect_invariant();
@@ -202,7 +209,7 @@ TEST(Combiner, WouldAdmitImpliesTryScheduleWhenSerialized) {
                              rng.next_double(0.0, 0.4 * kWattsCap)});
       }
       const bool would =
-          combiner->would_admit(h.demands, fx.resources, fx.policies);
+          combiner->would_admit(h.demands, fx.view(), fx.policies);
       const bool did = combiner->try_schedule(h.demands, h.stripe,
                                               fx.resources, fx.policies);
       EXPECT_TRUE(!would || did)

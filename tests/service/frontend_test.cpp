@@ -156,6 +156,64 @@ TEST(ServiceFrontEnd, ShardedDrainIsByteIdenticalAcrossShardCounts) {
   }
 }
 
+TEST(ServiceFrontEnd, OverflowDropsAgainstTheGlobalBoundForAnyShardCount) {
+  // Bursts far above what a 32-submission drain batch can take keep the
+  // staging deques full: arrivals past queue_capacity, summed over every
+  // shard, are dropped. The bound is global, so the drops, and with them
+  // the whole run, are the same for any shard count.
+  ArrivalConfig arr = calm_arrivals(41);
+  arr.shape = ArrivalShape::kBursty;
+  arr.rate = 20000.0;
+  arr.tenants = 8;
+  ServiceConfig cfg = small_service();
+  cfg.queue_capacity = 48;
+  cfg.drain_batch_max = 32;
+  constexpr std::uint64_t kArrivals = 20000;
+
+  std::vector<ServiceReport> reports;
+  for (const int shards : {1, 4, 16}) {
+    cfg.drain_shards = shards;
+    ArrivalGenerator gen(arr);
+    ServiceFrontEnd service(cfg);
+    reports.push_back(service.run(gen, kArrivals));
+  }
+  const ServiceReport& base = reports.front();
+  EXPECT_GT(base.stats.overflow_drops, 0u);
+  for (const ServiceReport& r : reports) {
+    SCOPED_TRACE(std::to_string(r.drain_shards) + " shard(s)");
+    const ServiceStats& s = r.stats;
+    // Every arrival resolves exactly one way.
+    EXPECT_EQ(s.completed + s.shed + s.overflow_drops, kArrivals);
+    EXPECT_EQ(s.still_queued, 0u);
+    EXPECT_EQ(r.checksum, base.checksum);
+    EXPECT_EQ(s.overflow_drops, base.stats.overflow_drops);
+    EXPECT_EQ(s.completed, base.stats.completed);
+    EXPECT_EQ(s.shed, base.stats.shed);
+    EXPECT_EQ(s.enqueued, base.stats.enqueued);
+    EXPECT_EQ(s.drains, base.stats.drains);
+    EXPECT_EQ(s.drained, base.stats.drained);
+    EXPECT_EQ(s.mailboxed, base.stats.mailboxed);
+    EXPECT_EQ(s.max_backlog, base.stats.max_backlog);
+    EXPECT_EQ(s.escalations, base.stats.escalations);
+    EXPECT_EQ(r.elapsed_seconds, base.elapsed_seconds);
+    EXPECT_EQ(r.admission_latency.p99(), base.admission_latency.p99());
+    // The shard counters partition the same global totals for every K,
+    // and no runway a pass drew from was deeper than one batch.
+    std::uint64_t enqueued = 0, drained = 0, mail_in = 0, mail_out = 0;
+    for (const ShardCounters& c : r.shards) {
+      enqueued += c.enqueued;
+      drained += c.drained;
+      mail_in += c.mail_in;
+      mail_out += c.mail_out;
+      EXPECT_LE(c.peak_staged, cfg.drain_batch_max);
+    }
+    EXPECT_EQ(enqueued, s.enqueued - s.mailboxed);
+    EXPECT_EQ(drained, s.drained);
+    EXPECT_EQ(mail_in, s.mailboxed);
+    EXPECT_EQ(mail_out, s.mailboxed);
+  }
+}
+
 TEST(ServiceFrontEnd, SloSheddingKeepsGoodputAtOrAboveDropAll) {
   // Bursty overload that pins the ladder at rung 3 long enough to shed
   // thousands. shed_keep_fraction 0 is the old drop-all rung; 0.25 keeps
