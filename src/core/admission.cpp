@@ -35,7 +35,8 @@ AdmissionCore::AdmissionCore(AdmissionConfig config)
                    config_.tenant_ledger == nullptr &&
                    config_.fault_injector == nullptr),
       predicate_(policy_table_, *combiner_, resources_),
-      monitor_(predicate_, resources_, config.monitor),
+      strategy_(make_wake_strategy(config_.monitor.wake_order,
+                                   config_.monitor.work_conserving)),
       corrector_(config.feedback) {
   // Each configured resource's budget is bounded by ITS OWN policy, so e.g.
   // a Compromise LLC coexists with a Strict watts budget. Unconfigured
@@ -55,11 +56,10 @@ AdmissionCore::AdmissionCore(AdmissionConfig config)
   if (config_.energy_capacity_watts > 0.0) {
     configure(ResourceKind::kEnergyBudget, config_.energy_capacity_watts);
   }
-  monitor_.set_trace_sink(config_.trace_sink);
 }
 
-void AdmissionCore::trace(obs::EventKind kind, double now,
-                          const PeriodRecord& record) {
+void AdmissionCore::trace_lockfree(obs::EventKind kind, double now,
+                                   const PeriodRecord& record) const {
   if (config_.trace_sink == nullptr) return;
   obs::Event e;
   e.time = now;
@@ -105,20 +105,16 @@ AdmitTicket AdmissionCore::admit_one(AdmitRequest request, double now,
   AdmitTicket ticket;
   const Shaped shaped = shape(request, ticket);
   if (calm() && fast_admit(request, now, shaped, ticket)) return ticket;
-  ProgressMonitor::PendingDelivery pending;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    ticket = slow_admit_locked(std::move(request), now, shaped,
-                               ticket.occupancy_cap);
+  return slow_op([&] {
+    AdmitTicket slow = slow_admit_locked(std::move(request), now, shaped,
+                                         ticket.occupancy_cap);
     // Nothing can grant the parked request before the hold ends, so the
     // cancel always finds it still waiting.
-    if (withdraw_if_parked && !ticket.admitted) {
-      RDA_CHECK(monitor_.cancel_waiting(ticket.id, now));
+    if (withdraw_if_parked && !slow.admitted) {
+      RDA_CHECK(cancel_waiting(slow.id, now));
     }
-  }
-  monitor_.deliver(std::move(pending));
-  return ticket;
+    return slow;
+  });
 }
 
 bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
@@ -151,11 +147,11 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   record.declared_demand = shaped.declared;
   record.declared_bandwidth = record.demand_for(ResourceKind::kMemBandwidth);
   record.begin_time = now;
-  record.lease_epoch = monitor_.epoch();
+  record.lease_epoch = epoch_.load();
   record.admitted = true;  // budget already charged
   PeriodId id = kInvalidPeriod;
   try {
-    id = monitor_.mutable_registry().insert(std::move(record));
+    id = registry_.insert(std::move(record));
   } catch (...) {
     // Nested begin: return the budget so the thrown begin leaves no
     // footprint, exactly like the slow lane's pre-stats registry check.
@@ -169,10 +165,10 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   slot.immediate.fetch_add(1);
   if (shaped.partitioned) partitioned_periods_.fetch_add(1);
   if (config_.trace_sink != nullptr) {
-    const PeriodRecord* stored = monitor_.registry().find(id);
+    const PeriodRecord* stored = registry_.find(id);
     RDA_CHECK(stored != nullptr);  // our own record; only we can end it
-    trace(obs::EventKind::kBegin, now, *stored);
-    trace(obs::EventKind::kAdmit, now, *stored);
+    trace_lockfree(obs::EventKind::kBegin, now, *stored);
+    trace_lockfree(obs::EventKind::kAdmit, now, *stored);
   }
   ticket.id = id;
   ticket.admitted = true;
@@ -234,14 +230,8 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
   record.label = std::move(request.label);
   record.declared_demand = shaped.declared;
   record.declared_bandwidth = declared_bandwidth;
-  const ProgressMonitor::BeginOutcome outcome =
-      monitor_.begin_period(std::move(record), now);
+  begin_period(std::move(record), now, ticket);
   if (shaped.partitioned) partitioned_periods_.fetch_add(1);
-
-  ticket.id = outcome.id;
-  ticket.admitted = outcome.admitted;
-  ticket.forced = outcome.forced;
-  ticket.woke_from_waitlist = outcome.woke_from_waitlist;
   return ticket;
 }
 
@@ -261,55 +251,34 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
     leftovers.push_back({i, shaped});
   }
   if (!leftovers.empty()) {
-    ProgressMonitor::PendingDelivery pending;
-    {
-      std::lock_guard lock(slow_mu_);
-      ProgressMonitor::WakeBatch batch(monitor_, &pending);
+    slow_op([&] {
       for (const Leftover& l : leftovers) {
         tickets[l.index] =
             slow_admit_locked(std::move(requests[l.index]), now, l.shaped,
                               tickets[l.index].occupancy_cap);
       }
-    }
-    monitor_.deliver(std::move(pending));
+    });
   }
   return tickets;
 }
 
 bool AdmissionCore::withdraw(PeriodId id, double now) {
-  ProgressMonitor::PendingDelivery pending;
-  bool cancelled;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    RDA_CHECK_MSG(monitor_.registry().find(id) != nullptr,
+  return slow_op([&] {
+    RDA_CHECK_MSG(registry_.find(id) != nullptr,
                   "withdraw of unknown period id " << id);
-    cancelled = monitor_.cancel_waiting(id, now);
-  }
-  monitor_.deliver(std::move(pending));
-  return cancelled;
+    return cancel_waiting(id, now);
+  });
 }
 
 WithdrawResult AdmissionCore::try_withdraw(PeriodId id, double now) {
-  ProgressMonitor::PendingDelivery pending;
-  WithdrawResult result;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    if (monitor_.registry().find(id) == nullptr) {
-      result = WithdrawResult::kGone;
-    } else if (monitor_.cancel_waiting(id, now)) {
-      result = WithdrawResult::kCancelled;
-    } else {
-      // cancel_waiting refused: either the grant won the race (record is
-      // admitted) or the period vanished meanwhile.
-      result = monitor_.registry().find(id) != nullptr
-                   ? WithdrawResult::kAlreadyAdmitted
-                   : WithdrawResult::kGone;
-    }
-  }
-  monitor_.deliver(std::move(pending));
-  return result;
+  return slow_op([&] {
+    if (registry_.find(id) == nullptr) return WithdrawResult::kGone;
+    if (cancel_waiting(id, now)) return WithdrawResult::kCancelled;
+    // cancel_waiting refused: either the grant won the race (record is
+    // admitted) or the period vanished meanwhile.
+    return registry_.find(id) != nullptr ? WithdrawResult::kAlreadyAdmitted
+                                         : WithdrawResult::kGone;
+  });
 }
 
 bool AdmissionCore::fast_release(PeriodId id, double now,
@@ -317,10 +286,9 @@ bool AdmissionCore::fast_release(PeriodId id, double now,
   // Calm lock-free release: claim the record off its shard (only records
   // that are admitted and not force-oversubscribed qualify — everything
   // else carries slow-lane obligations) and return its budget.
-  std::optional<PeriodRecord> record =
-      monitor_.mutable_registry().take_if_calm(id);
+  std::optional<PeriodRecord> record = registry_.take_if_calm(id);
   if (!record.has_value()) return false;
-  trace(obs::EventKind::kEnd, now, *record);
+  trace_lockfree(obs::EventKind::kEnd, now, *record);
   for (const ResourceDemand& d : record->demands) {
     resources_.decrement_load(d.resource, d.amount, record->stripe);
   }
@@ -338,15 +306,7 @@ ReleaseTicket AdmissionCore::release(PeriodId id,
       // Dekker handshake, releaser side: the budget is returned (seq_cst);
       // now re-read the park flags. A parker whose push we miss here saw
       // our budget on its own second look — either way somebody rescans.
-      if (slow_work_pending()) {
-        ProgressMonitor::PendingDelivery pending;
-        {
-          std::lock_guard lock(slow_mu_);
-          ProgressMonitor::WakeBatch batch(monitor_, &pending);
-          monitor_.rescan_release(now);
-        }
-        monitor_.deliver(std::move(pending));
-      }
+      if (slow_work_pending()) slow_op([&] { rescan(now); });
       return ticket;
     }
   }
@@ -365,180 +325,81 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
     }
     leftovers.push_back(i);
   }
-  ProgressMonitor::PendingDelivery pending;
   if (!leftovers.empty()) {
     // One slow-mutex hold, one rescan, one wake flush for every record the
-    // calm lane could not claim. (end_periods rescans after all the budget
-    // is back, which also covers the Dekker obligation of the fast ones.)
-    std::vector<PeriodId> leftover_ids;
-    leftover_ids.reserve(leftovers.size());
-    for (const std::size_t i : leftovers) leftover_ids.push_back(ids[i]);
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    std::vector<PeriodRecord> records = monitor_.end_periods(leftover_ids, now);
-    for (std::size_t j = 0; j < leftovers.size(); ++j) {
-      tickets[leftovers[j]].record = std::move(records[j]);
-    }
+    // calm lane could not claim. (The rescan runs after all the budget is
+    // back, which also covers the Dekker obligation of the fast ones.)
+    slow_op([&] {
+      for (const std::size_t i : leftovers) {
+        tickets[i].record = close_period(ids[i], now);
+      }
+      rescan(now);
+    });
   } else if (any_fast && slow_work_pending()) {
     // Purely fast batch: the Dekker re-check escalates at most once for the
     // whole batch instead of once per release.
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    monitor_.rescan_release(now);
+    slow_op([&] { rescan(now); });
   }
-  monitor_.deliver(std::move(pending));
   return tickets;
 }
 
 ReleaseTicket AdmissionCore::slow_release(PeriodId id,
                                           const ReleaseObservation& observed_in,
                                           double now) {
-  ProgressMonitor::PendingDelivery pending;
-  ReleaseTicket ticket;
-  {
-  std::lock_guard lock(slow_mu_);
-  ProgressMonitor::WakeBatch batch(monitor_, &pending);
-  ReleaseObservation observed = observed_in;
-  if (config_.fault_injector != nullptr && observed.has_counters) {
-    const PeriodRecord* active = monitor_.registry().find(id);
-    RDA_CHECK_MSG(active != nullptr, "pp_end with unknown period id " << id);
-    const fault::FaultSpec* fired = config_.fault_injector->consult(
-        fault::Hook::kRelease, active->thread);
-    if (fired != nullptr && fired->kind == fault::FaultKind::kCorruptCounter) {
-      // A garbage counter read: the corrector must stay within its clamp
-      // bounds instead of poisoning future demands.
-      observed.peak_occupancy *= fired->factor;
+  return slow_op([&] {
+    ReleaseObservation observed = observed_in;
+    if (config_.fault_injector != nullptr && observed.has_counters) {
+      const PeriodRecord* active = registry_.find(id);
+      RDA_CHECK_MSG(active != nullptr, "pp_end with unknown period id " << id);
+      const fault::FaultSpec* fired = config_.fault_injector->consult(
+          fault::Hook::kRelease, active->thread);
+      if (fired != nullptr &&
+          fired->kind == fault::FaultKind::kCorruptCounter) {
+        // A garbage counter read: the corrector must stay within its clamp
+        // bounds instead of poisoning future demands.
+        observed.peak_occupancy *= fired->factor;
+      }
     }
-  }
-  if (observed.has_counters &&
-      (config_.feedback.enable || config_.tenant_ledger != nullptr)) {
-    // A reaped or reclaimed period may already be gone (end_period below
-    // rejects unknown ids itself); a vanished record simply has no
-    // declaration left to audit.
-    const PeriodRecord* active = monitor_.registry().find(id);
-    if (active != nullptr) {
-      if (config_.feedback.enable) {
-        corrector_.observe(active->label, active->declared_demand,
-                           observed.peak_occupancy, observed.cache_contended);
-        if (observed.has_bandwidth && active->declared_bandwidth > 0.0) {
-          corrector_.observe(active->label, ResourceKind::kMemBandwidth,
-                             active->declared_bandwidth,
-                             observed.peak_bandwidth,
-                             observed.bandwidth_contended);
+    if (observed.has_counters &&
+        (config_.feedback.enable || config_.tenant_ledger != nullptr)) {
+      // A reaped or reclaimed period may already be gone (close_period
+      // below rejects unknown ids itself); a vanished record simply has no
+      // declaration left to audit.
+      const PeriodRecord* active = registry_.find(id);
+      if (active != nullptr) {
+        if (config_.feedback.enable) {
+          corrector_.observe(active->label, active->declared_demand,
+                             observed.peak_occupancy,
+                             observed.cache_contended);
+          if (observed.has_bandwidth && active->declared_bandwidth > 0.0) {
+            corrector_.observe(active->label, ResourceKind::kMemBandwidth,
+                               active->declared_bandwidth,
+                               observed.peak_bandwidth,
+                               observed.bandwidth_contended);
+          }
+        }
+        // Tenant-truth audit: the same counter evidence the corrector
+        // consumes, judged per TENANT (the process identity), not per
+        // label.
+        if (config_.tenant_ledger != nullptr) {
+          config_.tenant_ledger->audit(
+              static_cast<std::uint64_t>(active->process),
+              active->declared_demand, observed.peak_occupancy,
+              observed.cache_contended, now);
         }
       }
-      // Tenant-truth audit: the same counter evidence the corrector
-      // consumes, judged per TENANT (the process identity), not per label.
-      if (config_.tenant_ledger != nullptr) {
-        config_.tenant_ledger->audit(
-            static_cast<std::uint64_t>(active->process),
-            active->declared_demand, observed.peak_occupancy,
-            observed.cache_contended, now);
-      }
     }
-  }
-  // end_period itself rejects unknown ids; no pre-lookup needed.
-  ticket.record = monitor_.end_period(id, now);
-  }
-  monitor_.deliver(std::move(pending));
-  return ticket;
-}
-
-ProgressMonitor::ReapOutcome AdmissionCore::reap(sim::ThreadId thread,
-                                                 double now,
-                                                 bool remember_waiter) {
-  ProgressMonitor::PendingDelivery pending;
-  ProgressMonitor::ReapOutcome outcome;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    outcome = monitor_.reap_thread(thread, now, remember_waiter);
-  }
-  monitor_.deliver(std::move(pending));
-  return outcome;
-}
-
-std::size_t AdmissionCore::sweep(std::uint64_t max_epoch_age, double now,
-                                 bool remember_waiters) {
-  ProgressMonitor::PendingDelivery pending;
-  std::size_t reaped;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    reaped = monitor_.sweep(max_epoch_age, now, remember_waiters);
-  }
-  monitor_.deliver(std::move(pending));
-  return reaped;
-}
-
-void AdmissionCore::heartbeat(sim::ThreadId thread) {
-  std::lock_guard lock(slow_mu_);
-  monitor_.heartbeat(thread);
-}
-
-bool AdmissionCore::watchdog_tick(double now) {
-  ProgressMonitor::PendingDelivery pending;
-  bool any;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    any = monitor_.watchdog_tick(now);
-  }
-  monitor_.deliver(std::move(pending));
-  return any;
-}
-
-bool AdmissionCore::watchdog_stalled(double now) {
-  ProgressMonitor::PendingDelivery pending;
-  bool any;
-  {
-    std::lock_guard lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    any = monitor_.watchdog_stalled(now);
-  }
-  monitor_.deliver(std::move(pending));
-  return any;
-}
-
-bool AdmissionCore::is_admitted(PeriodId id) const {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.is_admitted(id);
-}
-
-bool AdmissionCore::is_rejected(PeriodId id) const {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.is_rejected(id);
-}
-
-bool AdmissionCore::take_rejection(PeriodId id) {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.take_rejection(id);
-}
-
-std::optional<PeriodId> AdmissionCore::take_rejection_for_thread(
-    sim::ThreadId thread) {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.take_rejection_for_thread(thread);
-}
-
-std::vector<sim::ThreadId> AdmissionCore::rejected_threads() const {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.rejected_threads();
-}
-
-bool AdmissionCore::is_reclaimed(PeriodId id) const {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.is_reclaimed(id);
-}
-
-bool AdmissionCore::take_reclaimed(PeriodId id) {
-  std::lock_guard lock(slow_mu_);
-  return monitor_.take_reclaimed(id);
+    // close_period itself rejects unknown ids; no pre-lookup needed.
+    ReleaseTicket ticket;
+    ticket.record = close_period(id, now);
+    rescan(now);
+    return ticket;
+  });
 }
 
 MonitorStats AdmissionCore::stats() const {
   std::lock_guard lock(slow_mu_);
-  MonitorStats merged = monitor_.stats();
+  MonitorStats merged = stats_;
   for (const ShardSlot& slot : slots_) {
     merged.begins += slot.begins.load();
     merged.ends += slot.ends.load();
@@ -577,7 +438,7 @@ AdmissionCore::AuditReport AdmissionCore::audit() const {
 
   double ground[kNumResourceKinds] = {};
   double oversub_ground[kNumResourceKinds] = {};
-  for (const PeriodRecord& r : monitor_.registry().snapshot()) {
+  for (const PeriodRecord& r : registry_.snapshot()) {
     if (!r.admitted) continue;
     for (const ResourceDemand& d : r.demands) {
       ground[static_cast<std::size_t>(d.resource)] += d.amount;
@@ -619,8 +480,8 @@ AdmissionCore::AuditReport AdmissionCore::audit() const {
       fail(os.str());
     }
   }
-  const std::size_t counted = monitor_.waitlist().size();
-  const std::size_t held = monitor_.waitlist().entries().size();
+  const std::size_t counted = waitlist_.size();
+  const std::size_t held = waitlist_.entries().size();
   if (counted != held) {
     std::ostringstream os;
     os << "waitlist total counter " << counted << " != contents " << held;

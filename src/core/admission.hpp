@@ -6,7 +6,7 @@
 // demand correction, §6 streaming partitioning, registry + predicate +
 // waitlist bookkeeping. AdmissionCore owns that pipeline once; the
 // substrates shrink to adapters that translate their wake mechanism (sim
-// event injection, condvar notify) into the core's Waker callback and their
+// event injection, condvar notify) into the core's batch waker and their
 // notion of time into `now` seconds. The Fig. 11 cached-decision cost model
 // is the simulator's alone and lives in RdaScheduler.
 //
@@ -21,9 +21,10 @@
 //     throughput scales with cores.
 //
 //   * Slow lane: everything else (parks, wakes, pools, watchdog, feedback,
-//     fault hooks) runs the full ProgressMonitor logic under one slow
-//     mutex, exactly as the pre-shard core did — byte-for-byte identical
-//     traces and stats when calls are serialized.
+//     fault hooks) runs the paper's progress monitor (Figs. 5/6, defined in
+//     progress_monitor.cpp) under one slow mutex, exactly as the pre-shard
+//     core did — byte-for-byte identical traces and stats when calls are
+//     serialized.
 //
 // The lanes hand off via a Dekker-style handshake on seq_cst atomics: a
 // parking thread publishes its waitlist entry and then re-reads the budget
@@ -31,24 +32,32 @@
 // re-reads the waitlist count, escalating to a slow-lane rescan if anybody
 // is parked. One side always sees the other, so no wake is lost.
 //
-// Wakes are BATCHED: the slow lane accumulates woken threads per operation
-// and delivers them once, AFTER releasing the slow mutex (set_batch_waker
-// receives the whole batch; a plain set_waker waker is called per thread,
-// in wake order, at the same point). Delivering outside the lock lets a
-// wake callback re-enter the core — the sim engine's death-at-wake fault
-// path reaps the dying thread from inside the wake. The woken period is
-// already marked admitted before its wake is delivered, so a waiter that
-// probes its fate (is_admitted / take_rejection / …, all under the slow
-// mutex) instead of sleeping observes a consistent verdict.
+// Wakes are delivered ONE way, in batches: every public slow-lane operation
+// takes slow_mu_, runs, moves the grants and eviction notices its helpers
+// queued out of the core, releases the mutex, and only then hands them to
+// the batch waker (one call with every grant, in wake order) and the evict
+// notifier. Delivering outside the lock lets a wake callback re-enter the
+// core — the sim engine's death-at-wake fault path reaps the dying thread
+// from inside the wake. The woken period is already marked admitted before
+// its wake is delivered, so a waiter that probes its fate (is_admitted /
+// take_rejection / …, all under the slow mutex) instead of sleeping
+// observes a consistent verdict.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/feedback.hpp"
@@ -136,8 +145,8 @@ struct AdmitRequest {
 };
 
 /// Outcome of admit(). `admitted == false` means the period is parked on
-/// the waitlist; the caller must either sleep until the Waker fires for its
-/// thread (the grant) or withdraw() the request.
+/// the waitlist; the caller must either sleep until the batch waker grants
+/// its period or withdraw() the request.
 struct AdmitTicket {
   PeriodId id = kInvalidPeriod;
   bool admitted = false;
@@ -172,6 +181,31 @@ struct ReleaseTicket {
   PeriodRecord record;  ///< the closed period
 };
 
+/// One admission grant bound for a sleeping owner. Carrying the PERIOD id
+/// (not just the thread) lets an asynchronous substrate discard a grant that
+/// was delivered late — after its period was already recovered, withdrawn,
+/// or ended — instead of mistaking it for the thread's next period's grant.
+struct WakeGrant {
+  sim::ThreadId thread = sim::kInvalidThread;
+  PeriodId period = kInvalidPeriod;
+};
+
+/// A waiter evicted without a wake grant (watchdog rung 3, or reaped off the
+/// waitlist): the substrate must rouse the sleeping owner so it can observe
+/// the error instead of sleeping to its timeout.
+struct EvictNotice {
+  sim::ThreadId thread = sim::kInvalidThread;
+  PeriodId period = kInvalidPeriod;
+  const char* reason = "";
+};
+
+/// Outcome of reap().
+struct ReapOutcome {
+  bool reaped = false;
+  bool was_admitted = false;  ///< held load (vs parked on the waitlist)
+  PeriodId period = kInvalidPeriod;
+};
+
 /// Outcome of try_withdraw() — the race-tolerant withdraw the native gate's
 /// timeout path uses.
 enum class WithdrawResult {
@@ -182,40 +216,33 @@ enum class WithdrawResult {
 
 class AdmissionCore {
  public:
-  /// The kernel wake event, abstracted: called once per period admitted off
-  /// the waitlist, with the thread that parked it. Invoked after the slow
-  /// mutex is released — re-entering the core from the callback is safe.
-  using Waker = std::function<void(sim::ThreadId)>;
+  /// The kernel wake event, abstracted: one call per slow-lane operation
+  /// with every period it admitted off the waitlist, in wake order. Invoked
+  /// after the slow mutex is released — re-entering the core from the
+  /// callback is safe.
+  using BatchWakeFn = std::function<void(const std::vector<WakeGrant>&)>;
+  /// Eviction notices (watchdog rung 3, waitlisted-orphan reclaim),
+  /// delivered right after the operation's wakes.
+  using EvictFn = std::function<void(const std::vector<EvictNotice>&)>;
 
   explicit AdmissionCore(AdmissionConfig config = {});
 
   AdmissionCore(const AdmissionCore&) = delete;
   AdmissionCore& operator=(const AdmissionCore&) = delete;
 
-  void set_waker(Waker waker) { monitor_.set_waker(std::move(waker)); }
-  /// Batched wake delivery: one call per slow-lane operation with every
-  /// thread it admitted off the waitlist, in wake order. Takes precedence
-  /// over set_waker.
-  void set_batch_waker(ProgressMonitor::BatchWakeFn waker) {
-    monitor_.set_batch_waker(std::move(waker));
+  void set_batch_waker(BatchWakeFn waker) { batch_waker_ = std::move(waker); }
+  /// Lets the substrate rouse a sleeping owner that will never get a grant.
+  void set_evict_notifier(EvictFn notifier) {
+    evict_notifier_ = std::move(notifier);
   }
-  /// Eviction notices (watchdog rung 3, waitlisted-orphan reclaim): lets
-  /// the substrate rouse a sleeping owner that will never get a grant.
-  void set_evict_notifier(ProgressMonitor::EvictFn notifier) {
-    monitor_.set_evict_notifier(std::move(notifier));
-  }
-  void set_trace_sink(obs::TraceSink* sink) {
-    monitor_.set_trace_sink(sink);
-    config_.trace_sink = sink;
-  }
-  void set_wake_strategy(std::unique_ptr<WakeStrategy> strategy) {
-    monitor_.set_wake_strategy(std::move(strategy));
-  }
+  /// Attaches a lifecycle-event sink (non-owning; nullptr disables tracing
+  /// at the cost of one branch per transition).
+  void set_trace_sink(obs::TraceSink* sink) { config_.trace_sink = sink; }
 
   /// Declares a process as a task-pool (§3.4 group pause semantics).
   void mark_pool(sim::ProcessId process) {
     std::lock_guard lock(slow_mu_);
-    monitor_.mark_pool(process);
+    pools_.insert(process);
   }
 
   /// pp_begin. Applies feedback correction and §6 partitioning to the
@@ -255,15 +282,15 @@ class AdmissionCore {
   WithdrawResult try_withdraw(PeriodId id, double now);
 
   /// pp_end. Feeds observed counters to the demand corrector, releases the
-  /// period's load and rescans the waitlist (invoking the Waker for every
-  /// admission). Throws on an unknown id or a never-admitted period.
+  /// period's load and rescans the waitlist (granting every admission to
+  /// the batch waker). Throws on an unknown id or a never-admitted period.
   ReleaseTicket release(PeriodId id, const ReleaseObservation& observed,
                         double now);
 
   /// Batched pp_end. Calm records release through the lock-free lane; the
   /// rest are discharged together under one slow-mutex hold with a single
-  /// waitlist rescan for the whole batch (ProgressMonitor::end_periods), and
-  /// the Dekker re-check after a purely fast batch escalates at most once.
+  /// waitlist rescan for the whole batch, and the Dekker re-check after a
+  /// purely fast batch escalates at most once.
   /// No counter observations: feedback-corrected periods must go through the
   /// single-call release() (feedback disables the calm lane anyway).
   std::vector<ReleaseTicket> release_batch(const std::vector<PeriodId>& ids,
@@ -271,16 +298,18 @@ class AdmissionCore {
 
   /// Active (admitted OR waitlisted) period of a thread, if any.
   std::optional<PeriodId> active_for_thread(sim::ThreadId thread) const {
-    return monitor_.registry().active_for_thread(thread);
+    return registry_.active_for_thread(thread);
   }
 
   /// --- Self-healing lifecycle ---------------------------------------------
 
   /// Reaps whatever period `thread` left behind (thread-exit detection /
   /// task teardown): an admitted orphan's load is returned and waiters are
-  /// rescanned; a waitlisted orphan is evicted. See ProgressMonitor.
-  ProgressMonitor::ReapOutcome reap(sim::ThreadId thread, double now,
-                                    bool remember_waiter = false);
+  /// rescanned; a waitlisted orphan is evicted. With `remember_waiter`, a
+  /// reaped WAITLISTED period is remembered so a live waiter polling on it
+  /// can observe the eviction (take_reclaimed).
+  ReapOutcome reap(sim::ThreadId thread, double now,
+                   bool remember_waiter = false);
 
   /// Lease-based reclamation: reaps every period whose lease is more than
   /// `max_epoch_age` advance_epoch() calls stale. heartbeat() refreshes a
@@ -288,7 +317,7 @@ class AdmissionCore {
   std::size_t sweep(std::uint64_t max_epoch_age, double now,
                     bool remember_waiters = false);
   void heartbeat(sim::ThreadId thread);
-  void advance_epoch() { monitor_.advance_epoch(); }
+  void advance_epoch() { epoch_.fetch_add(1); }
 
   /// Time-triggered starvation-watchdog pass (the round trigger runs inside
   /// every rescan). Returns true when a waiter moved a degradation rung.
@@ -300,7 +329,7 @@ class AdmissionCore {
 
   /// Post-wait state probes for the substrates: a granted period shows as
   /// admitted; a watchdog-rejected or reaped-while-waiting one never gets a
-  /// Waker grant and must be discovered (and consumed) through these. All
+  /// wake grant and must be discovered (and consumed) through these. All
   /// take the slow mutex: an operation's wakes are flushed before its
   /// effects become observable here.
   bool is_admitted(PeriodId id) const;
@@ -335,13 +364,26 @@ class AdmissionCore {
   }
   ResourceMonitor& resources() { return resources_; }
   const ResourceMonitor& resources() const { return resources_; }
-  const ProgressMonitor& monitor() const { return monitor_; }
+  /// Lock-free views for probes and quiescent audits: the waitlist's size()
+  /// is its seq_cst Dekker counter, and each registry shard locks itself.
+  const Waitlist& waitlist() const { return waitlist_; }
+  const ShardedRegistry& registry() const { return registry_; }
+  /// True while a §3.4 pool is paused as a group. Takes the slow mutex.
+  bool pool_disabled(sim::ProcessId process) const;
   const SchedulingPolicy& policy() const { return *policy_; }
   const SchedulingPolicy& policy(ResourceKind kind) const {
     return *policy_table_[static_cast<std::size_t>(kind)];
   }
   const CombiningPolicy& combiner() const { return *combiner_; }
   const DemandCorrector& corrector() const { return corrector_; }
+
+  /// Somebody is parked on the waitlist or a §3.4 pool is disabled: only
+  /// the slow lane may admit, and a release must rescan. Reads two seq_cst
+  /// atomics; a fast release re-reads them after returning its budget (the
+  /// releaser's half of the Dekker handshake).
+  bool slow_work_pending() const {
+    return waitlist_.size() != 0 || disabled_pool_count_.load() != 0;
+  }
 
  private:
   /// This shard's share of the fast lane's begin/end counters.
@@ -363,15 +405,6 @@ class AdmissionCore {
   /// Its dynamic half is !slow_work_pending().
   bool calm() const { return calm_config_ && !slow_work_pending(); }
 
-  /// Somebody is parked on a waitlist or a §3.4 pool is disabled: only the
-  /// slow lane may admit, and a release must rescan. Reads two seq_cst
-  /// atomics; a fast release re-reads them after returning its budget (the
-  /// releaser's half of the Dekker handshake).
-  bool slow_work_pending() const {
-    return monitor_.waitlist().size() != 0 ||
-           monitor_.disabled_pool_count() != 0;
-  }
-
   /// What admit-side shaping learned about a request before any lane ran.
   struct Shaped {
     bool partitioned = false;  ///< §6 capped the primary LLC demand
@@ -383,16 +416,17 @@ class AdmissionCore {
   /// transform is left to slow_admit_locked (feedback forces every call
   /// there anyway).
   Shaped shape(AdmitRequest& request, AdmitTicket& ticket) const;
-  /// admit()/try_admit(): the calm lane, else one slow-mutex hold around
-  /// slow_admit_locked. With `withdraw_if_parked` a request the predicate
-  /// parked is cancelled before the hold ends.
+  /// admit()/try_admit(): the calm lane, else one slow-lane operation
+  /// around slow_admit_locked. With `withdraw_if_parked` a request the
+  /// predicate parked is cancelled before the hold ends.
   AdmitTicket admit_one(AdmitRequest request, double now,
                         bool withdraw_if_parked);
   /// Lock-free admit attempt. False = budget contention or nested-begin
   /// impossible here; caller falls through to the slow lane.
   bool fast_admit(AdmitRequest& request, double now, const Shaped& shaped,
                   AdmitTicket& ticket);
-  /// Slow-lane admit; caller holds slow_mu_ inside an open WakeBatch.
+  /// Slow-lane admit: demand correction, then begin_period. Caller holds
+  /// slow_mu_ inside slow_op.
   AdmitTicket slow_admit_locked(AdmitRequest request, double now,
                                 Shaped shaped, double occupancy_cap);
   ReleaseTicket slow_release(PeriodId id, const ReleaseObservation& observed,
@@ -400,7 +434,101 @@ class AdmissionCore {
   /// Lock-free release attempt (no Dekker re-check — the caller owes one
   /// rescan check per call/batch). False = record not claimable calmly.
   bool fast_release(PeriodId id, double now, ReleaseTicket& ticket);
-  void trace(obs::EventKind kind, double now, const PeriodRecord& record);
+
+  /// What one slow-lane operation woke or evicted, in order.
+  struct Delivery {
+    std::vector<WakeGrant> wakes;
+    std::vector<EvictNotice> evicts;
+  };
+  /// One public slow-lane operation's hold on slow_mu_. When it ends, also
+  /// by an exception, it moves what the operation queued into `out` before
+  /// the mutex is released.
+  class SlowHold {
+   public:
+    SlowHold(AdmissionCore& core, Delivery& out)
+        : core_(core), out_(out), lock_(core.slow_mu_) {}
+    SlowHold(const SlowHold&) = delete;
+    SlowHold& operator=(const SlowHold&) = delete;
+    ~SlowHold() { std::swap(out_, core_.pending_); }
+
+   private:
+    AdmissionCore& core_;
+    Delivery& out_;
+    std::lock_guard<util::AdaptiveMutex> lock_;
+  };
+  /// Runs `op` as ONE public slow-lane operation: under slow_mu_, after
+  /// which the wakes and evictions its helpers queued are moved out, the
+  /// mutex is released, and only then are they delivered. The core's one
+  /// wake delivery path. A throwing `op` drops what it queued.
+  template <typename Op>
+  std::invoke_result_t<Op&> slow_op(Op&& op) {
+    Delivery out;
+    if constexpr (std::is_void_v<std::invoke_result_t<Op&>>) {
+      {
+        const SlowHold hold(*this, out);
+        op();
+      }
+      deliver(out);
+    } else {
+      std::invoke_result_t<Op&> result = [&] {
+        const SlowHold hold(*this, out);
+        return op();
+      }();
+      deliver(out);
+      return result;
+    }
+  }
+  /// Hands one operation's grants and notices to the substrate. Call
+  /// WITHOUT slow_mu_ held.
+  void deliver(const Delivery& batch) const;
+
+  /// --- Slow lane: the progress monitor (progress_monitor.cpp) -------------
+  /// Every helper below runs under slow_mu_ and only APPENDS wakes and
+  /// evictions to the pending lists; slow_op delivers them.
+
+  /// Fig. 5, pp_begin: registers the record (the registry assigns its id),
+  /// then runs it, force-admits it, or parks it. Fills the ticket's id and
+  /// lane verdict.
+  void begin_period(PeriodRecord record, double now, AdmitTicket& ticket);
+  /// Fig. 6, first half of pp_end: removes the period and returns its load.
+  /// Throws on an unknown or never-admitted id. The caller rescans.
+  PeriodRecord close_period(PeriodId id, double now);
+  /// Returns a closed period's load, and its oversubscription tally.
+  void discharge(const PeriodRecord& record);
+  /// Withdraws a still-waitlisted period and rescans. False when the period
+  /// was already admitted or is unknown.
+  bool cancel_waiting(PeriodId id, double now);
+  /// Fig. 6, second half: re-offers freed capacity to the waitlist.
+  void rescan(double now);
+  /// Reap shared by reap() and sweep().
+  ReapOutcome reap_period(PeriodId id, double now, bool remember_waiter);
+  /// Round-triggered watchdog pass over the entries a rescan left parked.
+  void watchdog_rounds(double now);
+  /// Applies the next enabled ladder rung to the entry at `index`. Returns
+  /// true when the entry left the waitlist (admitted or rejected).
+  bool escalate(std::size_t index, double now);
+  /// Group admission check for one disabled pool; admits and wakes the whole
+  /// group when it fits. Returns true if the pool was re-enabled.
+  bool try_admit_pool(sim::ProcessId process, bool force, double now);
+  void disable_pool(sim::ProcessId process);
+  void enable_pool(sim::ProcessId process);
+  /// The pool guard holds `process` back: §3.4 group semantics are live.
+  bool pool_paused(sim::ProcessId process) const {
+    return config_.monitor.pool_guard && disabled_pools_.count(process) != 0;
+  }
+  void mark_admitted(PeriodId id);  ///< bookkeeping common to every admission
+  void wake_entry(const Waitlist::Entry& entry, double now,
+                  bool notify = true);
+
+  /// Two event stamps, because the lanes see time differently. The slow
+  /// lane stamps under slow_mu_ and never runs backwards: the native gate
+  /// samples `now` before the mutex orders the calls, so a wake could
+  /// otherwise be stamped before its block. The fast lane cannot read the
+  /// slow lane's last stamp without that mutex, so it stamps `now` as given.
+  void trace_locked(obs::EventKind kind, double now,
+                    const PeriodRecord& record);
+  void trace_lockfree(obs::EventKind kind, double now,
+                      const PeriodRecord& record) const;
 
   AdmissionConfig config_;
   std::unique_ptr<SchedulingPolicy> policy_;
@@ -413,13 +541,35 @@ class AdmissionCore {
   const bool calm_config_;
   ResourceMonitor resources_;
   SchedulingPredicate predicate_;
-  ProgressMonitor monitor_;
+
+  /// Slow-lane state. Everything here except the lock-free counters
+  /// (waitlist size, disabled_pool_count_, epoch_) and the self-locking
+  /// registry shards is guarded by slow_mu_.
+  std::unique_ptr<WakeStrategy> strategy_;
+  BatchWakeFn batch_waker_;
+  EvictFn evict_notifier_;
+  /// Latest slow-lane event stamp so far (see trace_locked()).
+  double last_event_time_ = -std::numeric_limits<double>::infinity();
+  ShardedRegistry registry_;
+  Waitlist waitlist_;
+  std::set<sim::ProcessId> pools_;
+  std::set<sim::ProcessId> disabled_pools_;
+  std::atomic<std::size_t> disabled_pool_count_{0};
+  MonitorStats stats_;
+  std::atomic<std::uint64_t> epoch_{0};  ///< lease clock (advance_epoch)
+  /// Unconsumed watchdog rejections, both directions (period↔thread).
+  std::unordered_map<PeriodId, sim::ThreadId> rejected_;
+  std::unordered_map<sim::ThreadId, PeriodId> rejected_by_thread_;
+  /// Waitlisted periods reaped out from under a live waiter.
+  std::unordered_set<PeriodId> reclaimed_;
+  /// What the current slow-lane operation woke or evicted (see slow_op).
+  Delivery pending_;
+
   DemandCorrector corrector_;
 
-  /// Serializes the slow lane (ProgressMonitor and everything reachable
-  /// from it) for the whole core, across all shards. Its holds are short,
-  /// so a contended acquire spins about one futex round trip before it
-  /// parks. Lock order: slow_mu_ → registry shard.
+  /// Serializes the slow lane for the whole core, across all shards. Its
+  /// holds are short, so a contended acquire spins about one futex round
+  /// trip before it parks. Lock order: slow_mu_ → registry shard.
   mutable util::AdaptiveMutex slow_mu_;
 
   std::array<ShardSlot, kNumShards> slots_;

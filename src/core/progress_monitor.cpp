@@ -1,4 +1,32 @@
-#include "core/progress_monitor.hpp"
+// The progress monitor (§3.1, Figs. 2/5/6): the slow lane of AdmissionCore.
+//
+// Tracks pp_begin / pp_end transitions, keeps the period registry, and
+// re-schedules waitlisted threads when capacity frees up.
+//
+// Behaviour on begin (paper Fig. 5):
+//   create period -> scheduling predicate -> run (load incremented) or
+//   pause (placed on the resource waitlist).
+// Behaviour on end (paper Fig. 6):
+//   remove from registry -> decrement load -> attempt to schedule waiting
+//   threads.
+//
+// Extensions faithful to §3.4:
+//   * thread-pool guard: when a member of a pool process is denied, the
+//     whole pool is disabled; it is re-admitted only when the pool's entire
+//     pending demand fits ("until there is sufficient resources for all of
+//     them").
+//   * liveness override: a period whose demand can never fit (larger than
+//     the policy bound) is force-admitted when the resource is completely
+//     free — otherwise a paper-conform system would hang forever on it.
+//
+// Everything here runs under the core's slow mutex. It sits on the sharded
+// registry and the one seq-ordered waitlist and stripes its load charges, so
+// its bookkeeping composes with the lock-free fast lane in admission.cpp.
+// Wakes are BATCHED: the helpers append woken threads to the pending
+// delivery, and the public operation (AdmissionCore::slow_op) hands the
+// whole batch over after the mutex is released — one notify for a whole
+// pp_end storm instead of one per admission.
+#include "core/admission.hpp"
 
 #include <algorithm>
 
@@ -6,39 +34,22 @@
 
 namespace rda::core {
 
-ProgressMonitor::ProgressMonitor(SchedulingPredicate& predicate,
-                                 ResourceMonitor& resources,
-                                 MonitorOptions options)
-    : predicate_(&predicate),
-      resources_(&resources),
-      options_(options),
-      strategy_(make_wake_strategy(options.wake_order,
-                                   options.work_conserving)) {}
-
-void ProgressMonitor::set_wake_strategy(
-    std::unique_ptr<WakeStrategy> strategy) {
-  RDA_CHECK(strategy != nullptr);
-  strategy_ = std::move(strategy);
-}
-
-void ProgressMonitor::admit(PeriodId id) {
+void AdmissionCore::mark_admitted(PeriodId id) {
   RDA_CHECK(registry_.mark_admitted(id));
 }
 
-void ProgressMonitor::disable_pool(sim::ProcessId process) {
+void AdmissionCore::disable_pool(sim::ProcessId process) {
   if (disabled_pools_.insert(process).second) disabled_pool_count_.fetch_add(1);
 }
 
-void ProgressMonitor::enable_pool(sim::ProcessId process) {
+void AdmissionCore::enable_pool(sim::ProcessId process) {
   if (disabled_pools_.erase(process) != 0) disabled_pool_count_.fetch_sub(1);
 }
 
-void ProgressMonitor::trace(obs::EventKind kind, double now,
-                            const PeriodRecord& record) {
-  if (sink_ == nullptr) return;
-  // Stamps never run backwards: the native gate samples `now` before the
-  // core's slow mutex orders the calls, so a wake could otherwise be stamped
-  // before its block. Callers passing non-decreasing time see no change.
+void AdmissionCore::trace_locked(obs::EventKind kind, double now,
+                                 const PeriodRecord& record) {
+  if (config_.trace_sink == nullptr) return;
+  // Callers passing non-decreasing time see no change.
   last_event_time_ = std::max(last_event_time_, now);
   obs::Event e;
   e.time = last_event_time_;
@@ -49,52 +60,27 @@ void ProgressMonitor::trace(obs::EventKind kind, double now,
   e.resource = record.primary_resource();
   e.demand = record.primary_demand();
   e.set_label(record.label);
-  sink_->record(e);
+  config_.trace_sink->record(e);
 }
 
-void ProgressMonitor::wake_entry(const Waitlist::Entry& entry, double now,
-                                 bool notify) {
+void AdmissionCore::wake_entry(const Waitlist::Entry& entry, double now,
+                               bool notify) {
   ++stats_.wakes;
-  if (sink_ != nullptr) {
+  if (config_.trace_sink != nullptr) {
     const PeriodRecord* record = registry_.find(entry.period);
     RDA_CHECK(record != nullptr);
-    trace(obs::EventKind::kWake, now, *record);
+    trace_locked(obs::EventKind::kWake, now, *record);
   }
-  if (notify) pending_wakes_.push_back({entry.thread, entry.period});
+  if (notify) pending_.wakes.push_back({entry.thread, entry.period});
 }
 
-void ProgressMonitor::deliver(PendingDelivery batch) {
-  if (!batch.wakes.empty()) {
-    if (batch_waker_) {
-      batch_waker_(batch.wakes);
-    } else if (waker_) {
-      for (const WakeGrant& g : batch.wakes) waker_(g.thread);
-    }
-  }
+void AdmissionCore::deliver(const Delivery& batch) const {
+  if (!batch.wakes.empty() && batch_waker_) batch_waker_(batch.wakes);
   if (!batch.evicts.empty() && evict_notifier_) evict_notifier_(batch.evicts);
 }
 
-void ProgressMonitor::flush_batch() {
-  // Callbacks run outside any batch; should one re-enter the monitor, the
-  // nested operation opens its own batch and drains its own additions.
-  while (!pending_wakes_.empty() || !pending_evicts_.empty()) {
-    std::vector<WakeGrant> wakes;
-    wakes.swap(pending_wakes_);
-    std::vector<EvictNotice> evicts;
-    evicts.swap(pending_evicts_);
-    if (!wakes.empty()) {
-      if (batch_waker_) {
-        batch_waker_(wakes);
-      } else if (waker_) {
-        for (const WakeGrant& g : wakes) waker_(g.thread);
-      }
-    }
-    if (!evicts.empty() && evict_notifier_) evict_notifier_(evicts);
-  }
-}
-
-bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
-                                     double now) {
+bool AdmissionCore::try_admit_pool(sim::ProcessId process, bool force,
+                                   double now) {
   // Collect per-resource demand sums of the pool's waiting members.
   double sums[kNumResourceKinds] = {};
   bool any = false;
@@ -120,7 +106,7 @@ bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
       if (sums[r] <= 0.0) continue;
       group_demand.push_back({static_cast<ResourceKind>(r), sums[r]});
     }
-    if (!predicate_->would_admit(group_demand)) return false;
+    if (!predicate_.would_admit(group_demand)) return false;
   }
   // Whole group fits (or is forced): admit and wake every member.
   std::vector<Waitlist::Entry> group = waitlist_.remove_process(process);
@@ -128,12 +114,12 @@ bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
     const PeriodRecord* record = registry_.find(e.period);
     RDA_CHECK(record != nullptr);
     for (const ResourceDemand& d : record->demands) {
-      resources_->increment_load(d.resource, d.amount, record->stripe);
+      resources_.increment_load(d.resource, d.amount, record->stripe);
     }
-    admit(e.period);
+    mark_admitted(e.period);
     if (force) {
       ++stats_.forced_admissions;
-      trace(obs::EventKind::kForceAdmit, now, *record);
+      trace_locked(obs::EventKind::kForceAdmit, now, *record);
     }
     wake_entry(e, now);
   }
@@ -142,9 +128,8 @@ bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
   return true;
 }
 
-ProgressMonitor::BeginOutcome ProgressMonitor::begin_period(
-    PeriodRecord record, double now) {
-  WakeBatch batch(*this);
+void AdmissionCore::begin_period(PeriodRecord record, double now,
+                                 AdmitTicket& ticket) {
   record.begin_time = now;
   record.lease_epoch = epoch_.load();
   const sim::ThreadId thread = record.thread;
@@ -154,47 +139,42 @@ ProgressMonitor::BeginOutcome ProgressMonitor::begin_period(
   const PeriodId id = registry_.insert(std::move(record));
   ++stats_.begins;
   const PeriodRecord* stored = registry_.find(id);
-  trace(obs::EventKind::kBegin, now, *stored);
+  trace_locked(obs::EventKind::kBegin, now, *stored);
+  ticket.id = id;
 
-  BeginOutcome outcome;
-  outcome.id = id;
-
-  const bool member_of_disabled_pool =
-      options_.pool_guard && pool_disabled(process);
-
-  if (!member_of_disabled_pool) {
-    if (predicate_->try_schedule(*stored)) {
-      admit(id);
+  if (!pool_paused(process)) {
+    if (predicate_.try_schedule(*stored)) {
+      mark_admitted(id);
       ++stats_.immediate_admissions;
-      trace(obs::EventKind::kAdmit, now, *stored);
-      outcome.admitted = true;
-      return outcome;
+      trace_locked(obs::EventKind::kAdmit, now, *stored);
+      ticket.admitted = true;
+      return;
     }
     // Liveness override: nothing else holds any targeted resource, yet
     // the demand is over the policy bound — it can never fit, so run solo.
     bool targets_free = true;
     for (const ResourceDemand& d : stored->demands) {
-      if (!resources_->effectively_free(d.resource)) {
+      if (!resources_.effectively_free(d.resource)) {
         targets_free = false;
         break;
       }
     }
     if (targets_free) {
       for (const ResourceDemand& d : stored->demands) {
-        resources_->increment_load(d.resource, d.amount, stored->stripe);
+        resources_.increment_load(d.resource, d.amount, stored->stripe);
       }
-      admit(id);
+      mark_admitted(id);
       ++stats_.forced_admissions;
-      trace(obs::EventKind::kForceAdmit, now, *stored);
-      outcome.admitted = true;
-      outcome.forced = true;
-      return outcome;
+      trace_locked(obs::EventKind::kForceAdmit, now, *stored);
+      ticket.admitted = true;
+      ticket.forced = true;
+      return;
     }
-    if (options_.pool_guard && is_pool(process)) {
+    if (config_.monitor.pool_guard && pools_.count(process) != 0) {
       // §3.4: one denied member disables the whole pool.
       disable_pool(process);
       ++stats_.pool_disables;
-      trace(obs::EventKind::kPoolDisable, now, *stored);
+      trace_locked(obs::EventKind::kPoolDisable, now, *stored);
     }
   }
 
@@ -205,10 +185,10 @@ ProgressMonitor::BeginOutcome ProgressMonitor::begin_period(
   entry.enqueue_time = now;
   entry.demand = stored->primary_demand();
   entry.last_escalation_time = now;
-  const std::uint64_t pre_park_version = resources_->version();
+  const std::uint64_t pre_park_version = resources_.version();
   waitlist_.push(entry);  // seq_cst publish: the parker's Dekker store
   ++stats_.blocks;
-  trace(obs::EventKind::kBlock, now, *stored);
+  trace_locked(obs::EventKind::kBlock, now, *stored);
 
   // Second look after the park is published — the parker's half of the
   // lost-wake Dekker handshake with the lock-free release lane. A release
@@ -216,47 +196,40 @@ ProgressMonitor::BeginOutcome ProgressMonitor::begin_period(
   // re-running the predicate here sees its returned capacity. When calls
   // are serialized this provably never fires (nothing changed since the
   // failed try_schedule above), so sim traces are untouched.
-  if (!(options_.pool_guard && pool_disabled(process))) {
-    if (predicate_->try_schedule(*stored)) {
+  if (!pool_paused(process)) {
+    if (predicate_.try_schedule(*stored)) {
       const std::vector<Waitlist::Entry> self = waitlist_.drain_admissible(
           [id](const Waitlist::Entry& e) { return e.period == id; },
           /*head_only=*/false);
       RDA_CHECK(self.size() == 1);
-      admit(id);
+      mark_admitted(id);
       wake_entry(self.front(), now, /*notify=*/false);  // we ARE the waiter
-      outcome.admitted = true;
-      outcome.woke_from_waitlist = true;
-      return outcome;
+      ticket.admitted = true;
+      ticket.woke_from_waitlist = true;
+      return;
     }
-  } else if (resources_->version() != pre_park_version &&
+  } else if (resources_.version() != pre_park_version &&
              try_admit_pool(process, /*force=*/false, now) &&
-             is_admitted(id)) {
+             registry_.find(id)->admitted) {
     // Pool flavour of the same handshake, run only when a lock-free release
     // moved the budget while we parked (version changed) — a release whose
     // Dekker flag load missed our push can have made the whole group fit.
     // Serialized runs never re-check here, keeping legacy trace order. The
     // group admission queued a self-wake for us; withdraw it — we return
     // admitted instead of sleeping.
-    for (auto it = pending_wakes_.rbegin(); it != pending_wakes_.rend();
-         ++it) {
+    std::vector<WakeGrant>& wakes = pending_.wakes;
+    for (auto it = wakes.rbegin(); it != wakes.rend(); ++it) {
       if (it->thread == thread) {
-        pending_wakes_.erase(std::next(it).base());
+        wakes.erase(std::next(it).base());
         break;
       }
     }
-    outcome.admitted = true;
-    outcome.woke_from_waitlist = true;
-    return outcome;
+    ticket.admitted = true;
+    ticket.woke_from_waitlist = true;
   }
-  return outcome;
 }
 
-void ProgressMonitor::rescan_release(double now) {
-  WakeBatch batch(*this);
-  rescan(now);
-}
-
-void ProgressMonitor::rescan(double now) {
+void AdmissionCore::rescan(double now) {
   // 1. Disabled pools first: they have been waiting as a group.
   //    (copy — try_admit_pool mutates disabled_pools_)
   const std::vector<sim::ProcessId> disabled(disabled_pools_.begin(),
@@ -280,12 +253,12 @@ void ProgressMonitor::rescan(double now) {
   //    before; a fast-lane release that frees budget mid-scan finds
   //    slow_work_pending() true in its Dekker re-check and rescans under
   //    slow_mu_ itself once this scan lets go.
-  LoadView load(*resources_);
+  LoadView load(resources_);
   const auto fits = [&](const Waitlist::Entry& e) {
-    if (options_.pool_guard && pool_disabled(e.process)) return false;
+    if (pool_paused(e.process)) return false;
     const PeriodRecord* record = registry_.find(e.period);
     RDA_CHECK(record != nullptr);
-    return predicate_->would_admit(*record, load);
+    return predicate_.would_admit(*record, load);
   };
   for (;;) {
     const std::size_t i = strategy_->select(waitlist_.entries(), fits);
@@ -293,7 +266,7 @@ void ProgressMonitor::rescan(double now) {
     Waitlist::Entry e = waitlist_.remove_at(i);
     const PeriodRecord* record = registry_.find(e.period);
     RDA_CHECK(record != nullptr);
-    if (!predicate_->try_schedule(*record)) {
+    if (!predicate_.try_schedule(*record)) {
       // The advisory would_admit read a budget a concurrent fast-lane
       // admission claimed first. Re-park at the original FIFO position and
       // stop: this pass's capacity view is stale. (Serialized, the charge
@@ -302,7 +275,7 @@ void ProgressMonitor::rescan(double now) {
       break;
     }
     load.refresh();
-    admit(e.period);
+    mark_admitted(e.period);
     wake_entry(e, now);
   }
 
@@ -311,24 +284,24 @@ void ProgressMonitor::rescan(double now) {
   if (!waitlist_.empty()) {
     bool all_free = true;
     for (std::size_t r = 0; r < kNumResourceKinds; ++r) {
-      if (!resources_->effectively_free(static_cast<ResourceKind>(r))) {
+      if (!resources_.effectively_free(static_cast<ResourceKind>(r))) {
         all_free = false;
         break;
       }
     }
     if (all_free) {
       const Waitlist::Entry head = waitlist_.entries().front();
-      if (options_.pool_guard && pool_disabled(head.process)) {
+      if (pool_paused(head.process)) {
         try_admit_pool(head.process, /*force=*/true, now);
       } else {
         const PeriodRecord* record = registry_.find(head.period);
         RDA_CHECK(record != nullptr);
         for (const ResourceDemand& d : record->demands) {
-          resources_->increment_load(d.resource, d.amount, record->stripe);
+          resources_.increment_load(d.resource, d.amount, record->stripe);
         }
-        admit(head.period);
+        mark_admitted(head.period);
         ++stats_.forced_admissions;
-        trace(obs::EventKind::kForceAdmit, now, *record);
+        trace_locked(obs::EventKind::kForceAdmit, now, *record);
         const std::vector<Waitlist::Entry> forced =
             waitlist_.drain_admissible(
                 [&](const Waitlist::Entry& e) {
@@ -342,11 +315,11 @@ void ProgressMonitor::rescan(double now) {
 
   // 4. Starvation watchdog, round trigger: everything still parked after
   //    the offers above survived one more fruitless wake round.
-  if (options_.watchdog.enable) watchdog_rounds(now);
+  if (config_.monitor.watchdog.enable) watchdog_rounds(now);
 }
 
-void ProgressMonitor::watchdog_rounds(double now) {
-  const WatchdogOptions& wd = options_.watchdog;
+void AdmissionCore::watchdog_rounds(double now) {
+  const WatchdogOptions& wd = config_.monitor.watchdog;
   if (wd.max_wake_rounds == 0 || waitlist_.empty()) return;
   for (std::size_t i = 0; i < waitlist_.size(); ++i) {
     ++waitlist_.entry_at(i).rounds;
@@ -367,42 +340,44 @@ void ProgressMonitor::watchdog_rounds(double now) {
   }
 }
 
-bool ProgressMonitor::watchdog_tick(double now) {
-  WakeBatch batch(*this);
-  const WatchdogOptions& wd = options_.watchdog;
-  if (!wd.enable || wd.max_wait_seconds <= 0.0 || waitlist_.empty()) {
-    return false;
-  }
-  bool any = false;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < waitlist_.size(); ++i) {
-      const Waitlist::Entry& e = waitlist_.entry_at(i);
-      if (e.rung >= 3) continue;
-      if (now - e.last_escalation_time < wd.max_wait_seconds) continue;
-      escalate(i, now);
-      any = true;
-      progressed = true;
-      break;
+bool AdmissionCore::watchdog_tick(double now) {
+  return slow_op([&] {
+    const WatchdogOptions& wd = config_.monitor.watchdog;
+    if (!wd.enable || wd.max_wait_seconds <= 0.0 || waitlist_.empty()) {
+      return false;
     }
-  }
-  return any;
+    bool any = false;
+    bool progressed = true;
+    while (progressed) {
+      progressed = false;
+      for (std::size_t i = 0; i < waitlist_.size(); ++i) {
+        const Waitlist::Entry& e = waitlist_.entry_at(i);
+        if (e.rung >= 3) continue;
+        if (now - e.last_escalation_time < wd.max_wait_seconds) continue;
+        escalate(i, now);
+        any = true;
+        progressed = true;
+        break;
+      }
+    }
+    return any;
+  });
 }
 
-bool ProgressMonitor::watchdog_stalled(double now) {
-  WakeBatch batch(*this);
-  if (!options_.watchdog.enable || waitlist_.empty()) return false;
-  for (std::size_t i = 0; i < waitlist_.size(); ++i) {
-    if (waitlist_.entry_at(i).rung >= 3) continue;
-    escalate(i, now);
-    return true;
-  }
-  return false;  // every waiter has exhausted the ladder
+bool AdmissionCore::watchdog_stalled(double now) {
+  return slow_op([&] {
+    if (!config_.monitor.watchdog.enable || waitlist_.empty()) return false;
+    for (std::size_t i = 0; i < waitlist_.size(); ++i) {
+      if (waitlist_.entry_at(i).rung >= 3) continue;
+      escalate(i, now);
+      return true;
+    }
+    return false;  // every waiter has exhausted the ladder
+  });
 }
 
-bool ProgressMonitor::escalate(std::size_t index, double now) {
-  const WatchdogOptions& wd = options_.watchdog;
+bool AdmissionCore::escalate(std::size_t index, double now) {
+  const WatchdogOptions& wd = config_.monitor.watchdog;
   Waitlist::Entry& e = waitlist_.entry_at(index);
   e.rounds = 0;
   e.last_escalation_time = now;
@@ -418,7 +393,7 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
       bool clamped = false;
       for (ResourceDemand& d : record->demands) {
         const double bound =
-            wd.clamp_fraction * resources_->capacity(d.resource);
+            wd.clamp_fraction * resources_.capacity(d.resource);
         if (d.amount > bound) {
           d.amount = bound;
           clamped = true;
@@ -427,11 +402,11 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
       if (clamped) {
         e.demand = record->primary_demand();
         ++stats_.demand_clamps;
-        trace(obs::EventKind::kDemandClamp, now, *record);
-        if (!(options_.pool_guard && pool_disabled(e.process)) &&
-            predicate_->try_schedule(*record)) {
+        trace_locked(obs::EventKind::kDemandClamp, now, *record);
+        if (!pool_paused(e.process) &&
+            predicate_.try_schedule(*record)) {
           const Waitlist::Entry woken = waitlist_.remove_at(index);
-          admit(woken.period);
+          mark_admitted(woken.period);
           wake_entry(woken, now);
           return true;
         }
@@ -447,21 +422,21 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
     e.rung = 2;
     if (wd.force_admit) {
       for (const ResourceDemand& d : record->demands) {
-        resources_->increment_load(d.resource, d.amount, record->stripe);
-        resources_->add_oversubscribed(d.resource, d.amount);
+        resources_.increment_load(d.resource, d.amount, record->stripe);
+        resources_.add_oversubscribed(d.resource, d.amount);
       }
       record->oversub = true;
-      admit(e.period);
+      mark_admitted(e.period);
       ++stats_.forced_admissions;
       ++stats_.watchdog_force_admissions;
-      trace(obs::EventKind::kForceAdmit, now, *record);
+      trace_locked(obs::EventKind::kForceAdmit, now, *record);
       const Waitlist::Entry woken = waitlist_.remove_at(index);
       wake_entry(woken, now);
       return true;
     }
   }
 
-  // Rung 3: evict with an error. No Waker grant — the substrate surfaces
+  // Rung 3: evict with an error. No wake grant — the substrate surfaces
   // the rejection to the sleeping owner via take_rejection* and the
   // batched eviction notice.
   e.rung = 3;
@@ -469,18 +444,18 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
     const Waitlist::Entry evicted = waitlist_.remove_at(index);
     const PeriodRecord closed = registry_.remove(evicted.period);
     ++stats_.rejections;
-    trace(obs::EventKind::kReject, now, closed);
+    trace_locked(obs::EventKind::kReject, now, closed);
     rejected_.emplace(closed.id, closed.thread);
     rejected_by_thread_.emplace(closed.thread, closed.id);
-    pending_evicts_.push_back(
+    pending_.evicts.push_back(
         {closed.thread, closed.id, "starvation watchdog evicted the request"});
     return true;
   }
   return false;  // ladder fully disabled for this entry; never re-checked
 }
 
-ProgressMonitor::ReapOutcome ProgressMonitor::reap_period(
-    PeriodId id, double now, bool remember_waiter) {
+ReapOutcome AdmissionCore::reap_period(PeriodId id, double now,
+                                       bool remember_waiter) {
   ReapOutcome outcome;
   // try_remove claims the record atomically against a racing fast-lane
   // release: whoever removes it owns its discharge, the loser sees nothing.
@@ -496,52 +471,48 @@ ProgressMonitor::ReapOutcome ProgressMonitor::reap_period(
     if (remember_waiter) {
       reclaimed_.insert(id);
       for (const Waitlist::Entry& e : drained) {
-        pending_evicts_.push_back(
+        pending_.evicts.push_back(
             {e.thread, id, "waitlisted period was reclaimed"});
       }
     }
   }
   ++stats_.reclaims;
-  trace(obs::EventKind::kReclaim, now, *record);
-  if (outcome.was_admitted) {
-    for (const ResourceDemand& d : record->demands) {
-      resources_->decrement_load(d.resource, d.amount, record->stripe);
-      if (record->oversub) {
-        resources_->remove_oversubscribed(d.resource, d.amount);
-      }
-    }
-  }
+  trace_locked(obs::EventKind::kReclaim, now, *record);
+  if (outcome.was_admitted) discharge(*record);
   // Either load was returned or a (possibly pool-disabling) waiter left —
   // both can unblock someone.
   rescan(now);
   return outcome;
 }
 
-ProgressMonitor::ReapOutcome ProgressMonitor::reap_thread(
-    sim::ThreadId thread, double now, bool remember_waiter) {
-  WakeBatch batch(*this);
-  const std::optional<PeriodId> id = registry_.active_for_thread(thread);
-  if (!id.has_value()) return {};
-  return reap_period(*id, now, remember_waiter);
+ReapOutcome AdmissionCore::reap(sim::ThreadId thread, double now,
+                                bool remember_waiter) {
+  return slow_op([&]() -> ReapOutcome {
+    const std::optional<PeriodId> id = registry_.active_for_thread(thread);
+    if (!id.has_value()) return {};
+    return reap_period(*id, now, remember_waiter);
+  });
 }
 
-std::size_t ProgressMonitor::sweep(std::uint64_t max_epoch_age, double now,
-                                   bool remember_waiters) {
-  WakeBatch batch(*this);
-  const std::uint64_t epoch = epoch_.load();
-  std::vector<PeriodId> stale;
-  for (const PeriodRecord& r : registry_.snapshot()) {
-    if (epoch - r.lease_epoch > max_epoch_age) stale.push_back(r.id);
-  }
-  std::sort(stale.begin(), stale.end());  // deterministic reap order
-  std::size_t reaped = 0;
-  for (PeriodId id : stale) {
-    if (reap_period(id, now, remember_waiters).reaped) ++reaped;
-  }
-  return reaped;
+std::size_t AdmissionCore::sweep(std::uint64_t max_epoch_age, double now,
+                                 bool remember_waiters) {
+  return slow_op([&] {
+    const std::uint64_t epoch = epoch_.load();
+    std::vector<PeriodId> stale;
+    for (const PeriodRecord& r : registry_.snapshot()) {
+      if (epoch - r.lease_epoch > max_epoch_age) stale.push_back(r.id);
+    }
+    std::sort(stale.begin(), stale.end());  // deterministic reap order
+    std::size_t reaped = 0;
+    for (PeriodId id : stale) {
+      if (reap_period(id, now, remember_waiters).reaped) ++reaped;
+    }
+    return reaped;
+  });
 }
 
-void ProgressMonitor::heartbeat(sim::ThreadId thread) {
+void AdmissionCore::heartbeat(sim::ThreadId thread) {
+  std::lock_guard lock(slow_mu_);
   const std::optional<PeriodId> id = registry_.active_for_thread(thread);
   if (!id.has_value()) return;
   PeriodRecord* record = registry_.find_mutable(*id);
@@ -549,7 +520,24 @@ void ProgressMonitor::heartbeat(sim::ThreadId thread) {
   record->lease_epoch = epoch_.load();
 }
 
-bool ProgressMonitor::take_rejection(PeriodId id) {
+bool AdmissionCore::is_admitted(PeriodId id) const {
+  std::lock_guard lock(slow_mu_);
+  const PeriodRecord* record = registry_.find(id);
+  return record != nullptr && record->admitted;
+}
+
+bool AdmissionCore::pool_disabled(sim::ProcessId process) const {
+  std::lock_guard lock(slow_mu_);
+  return disabled_pools_.count(process) != 0;
+}
+
+bool AdmissionCore::is_rejected(PeriodId id) const {
+  std::lock_guard lock(slow_mu_);
+  return rejected_.count(id) != 0;
+}
+
+bool AdmissionCore::take_rejection(PeriodId id) {
+  std::lock_guard lock(slow_mu_);
   const auto it = rejected_.find(id);
   if (it == rejected_.end()) return false;
   rejected_by_thread_.erase(it->second);
@@ -557,8 +545,9 @@ bool ProgressMonitor::take_rejection(PeriodId id) {
   return true;
 }
 
-std::optional<PeriodId> ProgressMonitor::take_rejection_for_thread(
+std::optional<PeriodId> AdmissionCore::take_rejection_for_thread(
     sim::ThreadId thread) {
+  std::lock_guard lock(slow_mu_);
   const auto it = rejected_by_thread_.find(thread);
   if (it == rejected_by_thread_.end()) return std::nullopt;
   const PeriodId id = it->second;
@@ -567,7 +556,8 @@ std::optional<PeriodId> ProgressMonitor::take_rejection_for_thread(
   return id;
 }
 
-std::vector<sim::ThreadId> ProgressMonitor::rejected_threads() const {
+std::vector<sim::ThreadId> AdmissionCore::rejected_threads() const {
+  std::lock_guard lock(slow_mu_);
   std::vector<std::pair<PeriodId, sim::ThreadId>> pairs(rejected_.begin(),
                                                         rejected_.end());
   std::sort(pairs.begin(), pairs.end());
@@ -580,52 +570,38 @@ std::vector<sim::ThreadId> ProgressMonitor::rejected_threads() const {
   return out;
 }
 
-PeriodRecord ProgressMonitor::end_period(PeriodId id, double now) {
-  WakeBatch batch(*this);
+bool AdmissionCore::is_reclaimed(PeriodId id) const {
+  std::lock_guard lock(slow_mu_);
+  return reclaimed_.count(id) != 0;
+}
+
+bool AdmissionCore::take_reclaimed(PeriodId id) {
+  std::lock_guard lock(slow_mu_);
+  return reclaimed_.erase(id) != 0;
+}
+
+PeriodRecord AdmissionCore::close_period(PeriodId id, double now) {
   ++stats_.ends;
   PeriodRecord record = registry_.remove(id);
   RDA_CHECK_MSG(record.admitted,
                 "pp_end on period " << id
                                     << " that was never admitted (still "
                                        "waitlisted?)");
-  trace(obs::EventKind::kEnd, now, record);
-  for (const ResourceDemand& d : record.demands) {
-    resources_->decrement_load(d.resource, d.amount, record.stripe);
-    if (record.oversub) {
-      resources_->remove_oversubscribed(d.resource, d.amount);
-    }
-  }
-  rescan(now);
+  trace_locked(obs::EventKind::kEnd, now, record);
+  discharge(record);
   return record;
 }
 
-std::vector<PeriodRecord> ProgressMonitor::end_periods(
-    const std::vector<PeriodId>& ids, double now) {
-  WakeBatch batch(*this);
-  std::vector<PeriodRecord> records;
-  records.reserve(ids.size());
-  for (const PeriodId id : ids) {
-    ++stats_.ends;
-    PeriodRecord record = registry_.remove(id);
-    RDA_CHECK_MSG(record.admitted,
-                  "pp_end on period " << id
-                                      << " that was never admitted (still "
-                                         "waitlisted?)");
-    trace(obs::EventKind::kEnd, now, record);
-    for (const ResourceDemand& d : record.demands) {
-      resources_->decrement_load(d.resource, d.amount, record.stripe);
-      if (record.oversub) {
-        resources_->remove_oversubscribed(d.resource, d.amount);
-      }
+void AdmissionCore::discharge(const PeriodRecord& record) {
+  for (const ResourceDemand& d : record.demands) {
+    resources_.decrement_load(d.resource, d.amount, record.stripe);
+    if (record.oversub) {
+      resources_.remove_oversubscribed(d.resource, d.amount);
     }
-    records.push_back(std::move(record));
   }
-  rescan(now);
-  return records;
 }
 
-bool ProgressMonitor::cancel_waiting(PeriodId id, double now) {
-  WakeBatch batch(*this);
+bool AdmissionCore::cancel_waiting(PeriodId id, double now) {
   {
     const PeriodRecord* record = registry_.find(id);
     if (record == nullptr || record->admitted) return false;
@@ -635,7 +611,7 @@ bool ProgressMonitor::cancel_waiting(PeriodId id, double now) {
       /*head_only=*/false);
   const PeriodRecord record = registry_.remove(id);
   ++stats_.cancels;
-  trace(obs::EventKind::kCancel, now, record);
+  trace_locked(obs::EventKind::kCancel, now, record);
   // The withdrawn waiter may have been what kept its pool disabled (a
   // timed-out last member used to strand the pool until some unrelated
   // end_period), and under head-only scanning it may have been the barrier

@@ -1,48 +1,16 @@
-// Progress monitor (§3.1, Figs. 2/5/6): the component that tracks pp_begin /
-// pp_end transitions, keeps the period registry, and re-schedules waitlisted
-// threads when capacity frees up.
+// Progress monitor (§3.1, Figs. 2/5/6): its options and its statistics.
 //
-// Behaviour on begin (paper Fig. 5):
-//   create period -> scheduling predicate -> run (load incremented) or
-//   pause (placed on the resource waitlist).
-// Behaviour on end (paper Fig. 6):
-//   remove from registry -> decrement load -> attempt to schedule waiting
-//   threads.
-//
-// Extensions faithful to §3.4:
-//   * thread-pool guard: when a member of a pool process is denied, the
-//     whole pool is disabled; it is re-admitted only when the pool's entire
-//     pending demand fits ("until there is sufficient resources for all of
-//     them").
-//   * liveness override: a period whose demand can never fit (larger than
-//     the policy bound) is force-admitted when the resource is completely
-//     free — otherwise a paper-conform system would hang forever on it.
-//
-// Sharded-core edition: this is the SLOW LANE of the two-lane AdmissionCore.
-// All calls are serialized by the core's slow mutex (or by the caller, for
-// direct users like the unit tests); internally the monitor sits on the
-// sharded registry and one seq-ordered waitlist and stripes its load charges,
-// so its bookkeeping composes with the lock-free fast lane beside it. Wakes are
-// BATCHED: a rescan appends woken threads to a pending list and the
-// outermost operation flushes them in one pass (one notify for the whole
-// pp_end storm instead of one per admission).
+// The monitor itself — period registry, resource waitlist, §3.4 pool
+// guard, starvation watchdog and orphan reclamation — is the slow lane of
+// core::AdmissionCore; its Fig. 5/6 logic lives in progress_monitor.cpp as
+// AdmissionCore members. This header holds only the plain types the
+// substrates, the cluster and service layers and obs::reconcile share with
+// it, so they can name them without pulling in the core class.
 #pragma once
 
-#include <atomic>
-#include <functional>
-#include <limits>
-#include <memory>
-#include <optional>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
+#include <cstdint>
 
-#include "core/predicate.hpp"
-#include "core/registry.hpp"
-#include "core/sharding.hpp"
 #include "core/waitlist.hpp"
-#include "obs/sink.hpp"
 
 namespace rda::core {
 
@@ -102,7 +70,8 @@ struct MonitorStats {
   /// kForceAdmit so the event/stat reconciliation stays one-to-one).
   std::uint64_t watchdog_force_admissions = 0;
 
-  /// Field-wise accumulation (cluster layer: fleet-wide admission totals).
+  /// Field-wise accumulation: fleet-wide admission totals, summed over the
+  /// per-node cores by the cluster layer and the service front end.
   MonitorStats& operator+=(const MonitorStats& o) {
     begins += o.begins;
     ends += o.ends;
@@ -119,267 +88,6 @@ struct MonitorStats {
     watchdog_force_admissions += o.watchdog_force_admissions;
     return *this;
   }
-};
-
-class ProgressMonitor {
- public:
-  using WakeFn = std::function<void(sim::ThreadId)>;
-
-  /// One admission grant bound for a sleeping owner. Carrying the PERIOD id
-  /// (not just the thread) lets an asynchronous substrate discard a grant
-  /// that was delivered late — after its period was already recovered,
-  /// withdrawn, or ended — instead of mistaking it for the thread's next
-  /// period's grant.
-  struct WakeGrant {
-    sim::ThreadId thread = sim::kInvalidThread;
-    PeriodId period = kInvalidPeriod;
-  };
-
-  /// One call per flush with every grant issued by the operation, in wake
-  /// order — lets the native gate hand out all grants under one lock and
-  /// issue a single notify for the whole batch.
-  using BatchWakeFn = std::function<void(const std::vector<WakeGrant>&)>;
-
-  /// A waiter evicted without a wake grant (watchdog rung 3, or reaped off
-  /// the waitlist): the substrate must rouse the sleeping owner so it can
-  /// observe the error instead of sleeping to its timeout.
-  struct EvictNotice {
-    sim::ThreadId thread = sim::kInvalidThread;
-    PeriodId period = kInvalidPeriod;
-    const char* reason = "";
-  };
-  using EvictFn = std::function<void(const std::vector<EvictNotice>&)>;
-
-  /// Non-owning references must outlive the monitor.
-  ProgressMonitor(SchedulingPredicate& predicate, ResourceMonitor& resources,
-                  MonitorOptions options = {});
-
-  /// Channel used to resume a previously paused thread once its period is
-  /// admitted (the kernel wake event of the paper's implementation). Wakes
-  /// are delivered at the end of the outermost monitor operation, in the
-  /// order the admissions happened.
-  void set_waker(WakeFn waker) { waker_ = std::move(waker); }
-  /// Batched alternative; takes precedence over set_waker when both are set.
-  void set_batch_waker(BatchWakeFn waker) { batch_waker_ = std::move(waker); }
-  /// Eviction-notice channel (flushed with the wakes).
-  void set_evict_notifier(EvictFn notifier) {
-    evict_notifier_ = std::move(notifier);
-  }
-
-  /// Replaces the wake-order strategy (defaults to the one selected by
-  /// MonitorOptions::wake_order). Must not be null.
-  void set_wake_strategy(std::unique_ptr<WakeStrategy> strategy);
-  const WakeStrategy& wake_strategy() const { return *strategy_; }
-
-  /// Attaches a lifecycle-event sink (non-owning; nullptr disables tracing
-  /// at the cost of one branch per transition).
-  void set_trace_sink(obs::TraceSink* sink) { sink_ = sink; }
-
-  /// Declares a process as a task-pool (§3.4 group semantics).
-  void mark_pool(sim::ProcessId process) { pools_.insert(process); }
-  bool is_pool(sim::ProcessId process) const { return pools_.count(process); }
-  bool pool_disabled(sim::ProcessId process) const {
-    return disabled_pools_.count(process) != 0;
-  }
-  /// Lock-free count of currently disabled pools — part of the fast lane's
-  /// calm check (a disabled pool means §3.4 group semantics are live and
-  /// every admission must go through the slow lane).
-  std::size_t disabled_pool_count() const {
-    return disabled_pool_count_.load();
-  }
-
-  struct BeginOutcome {
-    PeriodId id = kInvalidPeriod;
-    bool admitted = false;
-    bool forced = false;  ///< admitted via the liveness override
-    /// Admitted on the post-park second look (the in-monitor half of the
-    /// lost-wake Dekker handshake): the period visited the waitlist but the
-    /// caller never needs to sleep. Impossible when calls are serialized.
-    bool woke_from_waitlist = false;
-  };
-
-  /// pp_begin. The record's id field is assigned by the registry.
-  BeginOutcome begin_period(PeriodRecord record, double now);
-
-  /// pp_end. Throws if the id is unknown. Returns the closed record.
-  PeriodRecord end_period(PeriodId id, double now);
-
-  /// Batched pp_end: removes and discharges every id first, then re-offers
-  /// the freed capacity with ONE waitlist rescan for the whole batch (one
-  /// release storm = one scheduling pass = one wake flush, instead of a
-  /// rescan per end). Records are returned in id-argument order. Throws on
-  /// the first unknown or never-admitted id, like end_period.
-  std::vector<PeriodRecord> end_periods(const std::vector<PeriodId>& ids,
-                                        double now);
-
-  /// Cancels a period that is still waitlisted (native-runtime timeout /
-  /// shutdown path). Returns false if the period was already admitted or
-  /// unknown. Rescans afterwards: removing the waiter can re-enable a pool
-  /// it had disabled (and thereby admit the remaining members).
-  bool cancel_waiting(PeriodId id, double now);
-
-  /// Re-offers freed capacity to the waitlist. The fast release lane calls
-  /// this (under the core's slow mutex) when its Dekker check sees parked
-  /// waiters or a disabled pool after a lock-free discharge.
-  void rescan_release(double now);
-
-  /// --- Orphan reclamation (lease/heartbeat) -------------------------------
-
-  struct ReapOutcome {
-    bool reaped = false;
-    bool was_admitted = false;  ///< held load (vs parked on the waitlist)
-    PeriodId period = kInvalidPeriod;
-  };
-
-  /// Reaps whatever period `thread` still holds (admitted: load returned,
-  /// waiters rescanned; waitlisted: entry evicted). Driven by the native
-  /// gate's thread-exit detection and the sim's task teardown. When
-  /// `remember_waiter` is set, a reaped WAITLISTED period is remembered so a
-  /// live waiter polling on it can observe the eviction (take_reclaimed).
-  ReapOutcome reap_thread(sim::ThreadId thread, double now,
-                          bool remember_waiter = false);
-
-  /// Reaps every period whose lease is more than `max_epoch_age` epochs
-  /// stale. Returns the number of periods reaped.
-  std::size_t sweep(std::uint64_t max_epoch_age, double now,
-                    bool remember_waiters = false);
-
-  /// Refreshes the lease of the thread's active period (no-op when none).
-  void heartbeat(sim::ThreadId thread);
-  void advance_epoch() { epoch_.fetch_add(1); }
-  std::uint64_t epoch() const { return epoch_.load(); }
-
-  /// --- Starvation watchdog -------------------------------------------------
-
-  /// Time-triggered escalation pass (the round-triggered pass runs inside
-  /// every rescan). Returns true when any waiter moved a ladder rung.
-  bool watchdog_tick(double now);
-
-  /// Stall-triggered escalation: the substrate proved nothing else can make
-  /// progress (all threads blocked), so waiting is futile regardless of the
-  /// round/time triggers — escalate the head-most unexhausted waiter one
-  /// rung immediately. Returns true when a waiter moved.
-  bool watchdog_stalled(double now);
-
-  /// Rejection / reclaim bookkeeping the substrates poll to surface errors:
-  /// a rejected or reclaimed-while-waiting period never gets a Waker grant,
-  /// so its (possibly still sleeping) owner must be able to learn its fate.
-  bool is_rejected(PeriodId id) const { return rejected_.count(id) != 0; }
-  bool take_rejection(PeriodId id);
-  std::optional<PeriodId> take_rejection_for_thread(sim::ThreadId thread);
-  /// Threads with an unconsumed rejection, in period-id order.
-  std::vector<sim::ThreadId> rejected_threads() const;
-  bool is_reclaimed(PeriodId id) const { return reclaimed_.count(id) != 0; }
-  bool take_reclaimed(PeriodId id) { return reclaimed_.erase(id) != 0; }
-
-  bool is_admitted(PeriodId id) const {
-    const PeriodRecord* record = registry_.find(id);
-    return record != nullptr && record->admitted;
-  }
-
-  const MonitorStats& stats() const { return stats_; }
-  const Waitlist& waitlist() const { return waitlist_; }
-  const ShardedRegistry& registry() const { return registry_; }
-  /// Fast-lane access: the core's lock-free admit inserts pre-admitted
-  /// records and its release claims calm records directly off the shards.
-  ShardedRegistry& mutable_registry() { return registry_; }
-
-  /// Wakes/evictions captured by a redirected WakeBatch for delivery after
-  /// the caller releases its locks: substrate wake callbacks may re-enter
-  /// the core (the sim engine's death-at-wake fault path reaps the dying
-  /// thread from inside the wake), so they must never run under the slow
-  /// mutex.
-  struct PendingDelivery {
-    std::vector<WakeGrant> wakes;
-    std::vector<EvictNotice> evicts;
-  };
-
-  /// Invokes the wake/evict callbacks for a captured batch. Call WITHOUT
-  /// the core's slow mutex held.
-  void deliver(PendingDelivery batch);
-
-  /// Scopes one logical monitor operation: wakes/evictions accumulated by
-  /// nested calls are flushed when the outermost batch closes. Every public
-  /// mutating entry point opens one, so direct users need not bother; the
-  /// admission core opens a REDIRECTED one (outermost, under its slow
-  /// mutex) so the callbacks can be invoked after the mutex is released.
-  class WakeBatch {
-   public:
-    explicit WakeBatch(ProgressMonitor& monitor,
-                       PendingDelivery* redirect = nullptr)
-        : monitor_(monitor), redirect_(redirect) {
-      ++monitor_.batch_depth_;
-    }
-    WakeBatch(const WakeBatch&) = delete;
-    WakeBatch& operator=(const WakeBatch&) = delete;
-    ~WakeBatch() {
-      if (--monitor_.batch_depth_ != 0) return;
-      if (redirect_ != nullptr) {
-        redirect_->wakes = std::move(monitor_.pending_wakes_);
-        redirect_->evicts = std::move(monitor_.pending_evicts_);
-        monitor_.pending_wakes_.clear();
-        monitor_.pending_evicts_.clear();
-      } else {
-        monitor_.flush_batch();
-      }
-    }
-
-   private:
-    ProgressMonitor& monitor_;
-    PendingDelivery* redirect_;
-  };
-
- private:
-  void admit(PeriodId id);  ///< bookkeeping common to every admission
-  void wake_entry(const Waitlist::Entry& entry, double now,
-                  bool notify = true);
-  void flush_batch();
-  /// Re-evaluates the waitlist after load decreased.
-  void rescan(double now);
-  /// Reap implementation shared by reap_thread and sweep.
-  ReapOutcome reap_period(PeriodId id, double now, bool remember_waiter);
-  /// Round-triggered watchdog pass over the entries a rescan left parked.
-  void watchdog_rounds(double now);
-  /// Applies the next enabled ladder rung to the entry at `index`. Returns
-  /// true when the entry left the waitlist (admitted or rejected).
-  bool escalate(std::size_t index, double now);
-  /// Group admission check for one disabled pool; admits and wakes the whole
-  /// group when it fits. Returns true if the pool was re-enabled.
-  bool try_admit_pool(sim::ProcessId process, bool force, double now);
-  void disable_pool(sim::ProcessId process);
-  void enable_pool(sim::ProcessId process);
-  /// Emits one lifecycle event when a sink is attached.
-  void trace(obs::EventKind kind, double now, const PeriodRecord& record);
-
-  SchedulingPredicate* predicate_;
-  ResourceMonitor* resources_;
-  MonitorOptions options_;
-  std::unique_ptr<WakeStrategy> strategy_;
-  WakeFn waker_;
-  BatchWakeFn batch_waker_;
-  EvictFn evict_notifier_;
-  obs::TraceSink* sink_ = nullptr;
-  /// Latest event stamp so far (see trace()).
-  double last_event_time_ = -std::numeric_limits<double>::infinity();
-
-  ShardedRegistry registry_;
-  Waitlist waitlist_;
-  std::set<sim::ProcessId> pools_;
-  std::set<sim::ProcessId> disabled_pools_;
-  std::atomic<std::size_t> disabled_pool_count_{0};
-  MonitorStats stats_;
-
-  std::atomic<std::uint64_t> epoch_{0};  ///< lease clock (advance_epoch)
-  /// Unconsumed watchdog rejections, both directions (period↔thread).
-  std::unordered_map<PeriodId, sim::ThreadId> rejected_;
-  std::unordered_map<sim::ThreadId, PeriodId> rejected_by_thread_;
-  /// Waitlisted periods reaped out from under a live waiter.
-  std::unordered_set<PeriodId> reclaimed_;
-
-  /// Batched wake/evict delivery (see WakeBatch).
-  int batch_depth_ = 0;
-  std::vector<WakeGrant> pending_wakes_;
-  std::vector<EvictNotice> pending_evicts_;
 };
 
 }  // namespace rda::core

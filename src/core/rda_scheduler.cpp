@@ -35,7 +35,9 @@ RdaScheduler::RdaScheduler(double llc_capacity_bytes,
 
 void RdaScheduler::attach(sim::ThreadWaker& waker) {
   waker_ = &waker;
-  core_.set_waker([&waker](sim::ThreadId tid) { waker.wake(tid); });
+  core_.set_batch_waker([&waker](const std::vector<WakeGrant>& grants) {
+    for (const WakeGrant& g : grants) waker.wake(g.thread);
+  });
 }
 
 void RdaScheduler::on_thread_exit(sim::ThreadId thread, double now) {
@@ -57,7 +59,7 @@ bool RdaScheduler::on_stall(double now) {
   // trigger alone can never fire here — a stall itself is the proof of
   // starvation.
   if (!changed) changed = core_.watchdog_stalled(now);
-  // Watchdog rejections never get a Waker grant; resume their owners here
+  // Watchdog rejections never get a wake grant; resume their owners here
   // so they run the phase ungated instead of wedging the simulation.
   for (sim::ThreadId thread : core_.rejected_threads()) {
     core_.take_rejection_for_thread(thread);
@@ -90,8 +92,7 @@ sim::BeginResult RdaScheduler::on_phase_begin(sim::ThreadId thread,
 
   // The table state the decision is made against, read before the call.
   const std::uint64_t version = fast_path_ ? core_.resources().version() : 0;
-  const bool quiet = fast_path_ && core_.monitor().waitlist().size() == 0 &&
-                     core_.monitor().disabled_pool_count() == 0;
+  const bool quiet = fast_path_ && !core_.slow_work_pending();
   const AdmitTicket ticket = core_.admit(std::move(request), now);
 
   bool fast = false;
@@ -100,7 +101,7 @@ sim::BeginResult RdaScheduler::on_phase_begin(sim::ThreadId thread,
     // Feedback, the ledger haircut and §6 partitioning reshape the declared
     // demands, so compare what the core actually charged.
     const PeriodRecord* record =
-        ticket.admitted ? core_.monitor().registry().find(ticket.id) : nullptr;
+        ticket.admitted ? core_.registry().find(ticket.id) : nullptr;
     fast = record != nullptr && cached.valid && quiet &&
            cached.version == version && cached.demands == record->demands;
     cached.valid = record != nullptr && !ticket.forced;
@@ -148,7 +149,7 @@ sim::EndResult RdaScheduler::on_phase_end(sim::ThreadId thread,
   // skipped. The cached decision survives it only if nobody else touched
   // the load table since this thread's last call (then its increment and
   // decrement cancel out).
-  const bool quiet = fast_path_ && core_.monitor().waitlist().size() == 0;
+  const bool quiet = fast_path_ && core_.waitlist().size() == 0;
   const std::uint64_t version = fast_path_ ? core_.resources().version() : 0;
   core_.release(*id, counters, now);
 

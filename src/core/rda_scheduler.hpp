@@ -2,10 +2,10 @@
 //
 // A thin adapter over core::AdmissionCore: it translates sim phase
 // boundaries (on_phase_begin / on_phase_end) into the core's transactional
-// admit/release calls and the sim's ThreadWaker into the core's Waker. All
-// policy, partitioning, feedback and waitlist logic lives in the core —
-// shared verbatim with the native rt::AdmissionGate and the cluster layer's
-// per-node gates. The adapter owns one decision of its own: the Fig. 11
+// admit/release calls and the sim's ThreadWaker into the core's batch
+// waker. All policy, partitioning, feedback and waitlist logic lives in the
+// core — shared verbatim with the native rt::AdmissionGate and the cluster
+// layer's per-node gates. The adapter owns one decision of its own: the Fig. 11
 // cached-decision fast path, a cost model that picks the calibrated API
 // call cost the simulator charges. It needs no locking because the
 // simulator drives its gate from one thread.
@@ -98,7 +98,6 @@ class RdaScheduler final : public sim::PhaseGate {
     return core_.partitioned_periods();
   }
   ResourceMonitor& resources() { return core_.resources(); }
-  const ProgressMonitor& monitor() const { return core_.monitor(); }
   const SchedulingPolicy& policy() const { return core_.policy(); }
   const DemandCorrector& corrector() const { return core_.corrector(); }
 

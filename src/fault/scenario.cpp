@@ -239,13 +239,13 @@ void run_sim(const ScenarioSpec& spec, FaultInjector& injector,
               " bytes still charged after all threads finished");
   check_resource_ledger(result, core.resource_rows());
   check_shard_audit(result, core.audit());
-  require(result, core.monitor().registry().active_count() == 0,
+  require(result, core.registry().active_count() == 0,
           "registry not drained: " +
-              std::to_string(core.monitor().registry().active_count()) +
+              std::to_string(core.registry().active_count()) +
               " periods still active");
-  require(result, core.monitor().waitlist().empty(),
+  require(result, core.waitlist().empty(),
           "waitlist not drained: " +
-              std::to_string(core.monitor().waitlist().size()) +
+              std::to_string(core.waitlist().size()) +
               " entries still parked");
   check_monitor_ledger(result, stats);
   check_events(result, recorder, stats);

@@ -2,9 +2,9 @@
 //
 // Replays a recorded event stream through the period-lifecycle state
 // machine and cross-checks the per-kind event counts against the monitor's
-// aggregate MonitorStats. The two are maintained at the same sites in
-// ProgressMonitor, so any disagreement means events were lost (ring
-// wrap-around), double-emitted, or a lifecycle transition fired from an
+// aggregate MonitorStats. The two are maintained at the same sites in both
+// lanes of core::AdmissionCore, so any disagreement means events were lost
+// (ring wrap-around), double-emitted, or a lifecycle transition fired from an
 // illegal state — exactly the class of bug (nested begins, stranded
 // cancels) this layer exists to surface.
 //

@@ -1,6 +1,6 @@
 // TraceSink — the zero-cost-when-disabled hook the schedulers emit into.
 //
-// Producers (ProgressMonitor, sim::Engine, rt::AdmissionGate) hold a raw
+// Producers (core::AdmissionCore, sim::Engine, rt::AdmissionGate) hold a raw
 // `TraceSink*` that defaults to nullptr; every emission site is a single
 // branch (`if (sink_) sink_->record(...)`), so a run without tracing pays
 // one predictable-not-taken test per transition and nothing else. Concrete

@@ -91,12 +91,12 @@ AdmissionGate::AdmissionGate(GateConfig config)
   // slice poll recovers it); a delayed wake sets the flag but swallows the
   // ping (the next slice poll finds it).
   core_.set_batch_waker(
-      [this](const std::vector<core::ProgressMonitor::WakeGrant>& grants) {
+      [this](const std::vector<core::WakeGrant>& grants) {
         bool ping = false;
         wait_channel_dirty_.store(true, std::memory_order_release);
         {
           std::lock_guard<std::mutex> lock(wait_mu_);
-          for (const core::ProgressMonitor::WakeGrant& g : grants) {
+          for (const core::WakeGrant& g : grants) {
             const std::uint32_t token = static_cast<std::uint32_t>(g.thread);
             if (config_.fault_injector != nullptr) {
               const fault::FaultSpec* fired =
@@ -125,11 +125,11 @@ AdmissionGate::AdmissionGate(GateConfig config)
   // error instead of sleeping to its timeout. This channel is what lets
   // end()/sweep() stay notification-free — every fate transition pings.
   core_.set_evict_notifier(
-      [this](const std::vector<core::ProgressMonitor::EvictNotice>& notices) {
+      [this](const std::vector<core::EvictNotice>& notices) {
         wait_channel_dirty_.store(true, std::memory_order_release);
         {
           std::lock_guard<std::mutex> lock(wait_mu_);
-          for (const core::ProgressMonitor::EvictNotice& n : notices) {
+          for (const core::EvictNotice& n : notices) {
             evicted_[static_cast<std::uint32_t>(n.thread)] = {n.period,
                                                               n.reason};
           }
@@ -462,7 +462,7 @@ void AdmissionGate::end(core::PeriodId id,
   // delivery channels: grants via the batch waker, rung-3 rejections and
   // reclaims via the evict notifier — each of which notifies. Nothing here
   // to ping (the old design notified only when hardened, leaving plain
-  // waiters a lost-wakeup window whenever a fate carried no Waker call).
+  // waiters a lost-wakeup window whenever a fate carried no wake grant).
   core::ReleaseTicket ticket = core_.release(id, observed, now_seconds());
   // Hand the closed period's demand buffer to this thread's next begin.
   if (ticket.record.demands.capacity() > spare_demands().capacity()) {
@@ -523,7 +523,7 @@ double AdmissionGate::usage(ResourceKind resource) const {
 }
 
 std::size_t AdmissionGate::waiting() const {
-  return core_.monitor().waitlist().size();
+  return core_.waitlist().size();
 }
 
 double AdmissionGate::oversubscribed(ResourceKind resource) const {

@@ -69,8 +69,9 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
     cc.trace_sink = config_.trace_sink;
     cores_.push_back(std::make_unique<core::AdmissionCore>(cc));
     cores_.back()->set_batch_waker(
-        [this, n](const std::vector<core::ProgressMonitor::WakeGrant>&
-                      grants) { on_wakes(n, grants); });
+        [this, n](const std::vector<core::WakeGrant>& grants) {
+          on_wakes(n, grants);
+        });
   }
 }
 
@@ -442,8 +443,8 @@ void ServiceFrontEnd::record_admission(const Sub& sub, int node,
 }
 
 void ServiceFrontEnd::on_wakes(
-    int node, const std::vector<core::ProgressMonitor::WakeGrant>& grants) {
-  for (const core::ProgressMonitor::WakeGrant& grant : grants) {
+    int node, const std::vector<core::WakeGrant>& grants) {
+  for (const core::WakeGrant& grant : grants) {
     const std::uint64_t key = flight_key(node, grant.period);
     const auto it = parked_.find(key);
     RDA_CHECK_MSG(it != parked_.end(),
@@ -580,8 +581,7 @@ void ServiceFrontEnd::apply_fault(double now) {
     std::sort(flight_keys.begin(), flight_keys.end());
     for (const std::uint64_t key : flight_keys) {
       const Flight flight = in_flight_.at(key);
-      const core::ProgressMonitor::ReapOutcome outcome =
-          cores_[n]->reap(flight.thread, now);
+      const core::ReapOutcome outcome = cores_[n]->reap(flight.thread, now);
       RDA_CHECK_MSG(outcome.reaped && outcome.was_admitted,
                     "in-flight period was not admitted at reap time");
       in_flight_.erase(key);

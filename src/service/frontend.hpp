@@ -387,8 +387,7 @@ class ServiceFrontEnd {
   void record_admission(const Sub& sub, int node, core::PeriodId period,
                         const DemandVector& declared, double penalty,
                         bool warm, bool from_wake);
-  void on_wakes(int node, const std::vector<core::ProgressMonitor::WakeGrant>&
-                              grants);
+  void on_wakes(int node, const std::vector<core::WakeGrant>& grants);
   void release_due(double now);
   void apply_fault(double now);
   void steal_pass(double now);

@@ -15,6 +15,7 @@
 #include "obs/reconcile.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "common/wake_recorder.hpp"
 #include "util/units.hpp"
 
 namespace rda::core {
@@ -57,13 +58,13 @@ TEST(AdmissionCore, DeniedRequestParksUntilReleaseWakes) {
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket first = core.admit(request(1, mb(10)), 0.0);
   ASSERT_TRUE(first.admitted);
   const AdmitTicket second = core.admit(request(2, mb(10)), 0.1);
   EXPECT_FALSE(second.admitted);
-  EXPECT_EQ(core.monitor().waitlist().size(), 1u);
+  EXPECT_EQ(core.waitlist().size(), 1u);
   EXPECT_TRUE(woken.empty());
 
   core.release(first.id, {}, 1.0);
@@ -76,6 +77,59 @@ TEST(AdmissionCore, DeniedRequestParksUntilReleaseWakes) {
   EXPECT_TRUE(core.resources().effectively_free(ResourceKind::kLLC));
 }
 
+// Wakes are delivered after the slow mutex is released, so a wake callback
+// may call back into the core (the sim's death-at-wake fault path reaps the
+// woken thread from inside its wake). The nested operation must not
+// deadlock, and its own wakes must reach the next waiter in FIFO order
+// through the same callback.
+TEST(AdmissionCore, WakeCallbackMayReenterTheCore) {
+  for (const bool reap : {false, true}) {
+    SCOPED_TRACE(reap ? "reap from the wake" : "release from the wake");
+    AdmissionConfig config;
+    config.llc_capacity_bytes = mb(16);
+    AdmissionCore core(config);
+    std::vector<sim::ThreadId> woken;
+    double now = 1.0;
+    core.set_batch_waker([&](const std::vector<WakeGrant>& grants) {
+      for (const WakeGrant& g : grants) {
+        woken.push_back(g.thread);
+        if (g.thread != 2) continue;
+        if (reap) {
+          const ReapOutcome outcome = core.reap(g.thread, now);
+          EXPECT_TRUE(outcome.reaped);
+          EXPECT_TRUE(outcome.was_admitted);
+          EXPECT_EQ(outcome.period, g.period);
+        } else {
+          EXPECT_EQ(core.release(g.period, {}, now).record.thread, 2u);
+        }
+      }
+    });
+
+    const AdmitTicket holder = core.admit(request(1, mb(10)), 0.0);
+    ASSERT_TRUE(holder.admitted);
+    std::vector<AdmitTicket> parked;
+    for (sim::ThreadId t = 2; t <= 4; ++t) {
+      parked.push_back(core.admit(request(t, mb(10)), 0.1 * t));
+      ASSERT_FALSE(parked.back().admitted);
+    }
+    core.release(holder.id, {}, now);
+    // Thread 2's period ended inside its own wake, and that nested
+    // operation woke the next waiter in FIFO order: 3, not 4.
+    ASSERT_EQ(woken, (std::vector<sim::ThreadId>{2, 3}));
+    EXPECT_EQ(core.waitlist().size(), 1u);
+    core.release(parked[1].id, {}, now += 1.0);
+    ASSERT_EQ(woken, (std::vector<sim::ThreadId>{2, 3, 4}));
+    core.release(parked[2].id, {}, now += 1.0);
+
+    const AdmissionCore::AuditReport audit = core.audit();
+    EXPECT_TRUE(audit.ok) << audit.detail;
+    const MonitorStats s = core.stats();
+    EXPECT_EQ(s.begins, s.ends + s.cancels + s.reclaims + s.rejections);
+    EXPECT_EQ(s.reclaims, reap ? 1u : 0u);
+    EXPECT_TRUE(core.resources().effectively_free(ResourceKind::kLLC));
+  }
+}
+
 TEST(AdmissionCore, WithdrawReleasesNothingAndCountsCancel) {
   AdmissionConfig config;
   config.llc_capacity_bytes = mb(16);
@@ -86,7 +140,7 @@ TEST(AdmissionCore, WithdrawReleasesNothingAndCountsCancel) {
   ASSERT_FALSE(second.admitted);
   EXPECT_TRUE(core.withdraw(second.id, 0.2));
   EXPECT_EQ(core.stats().cancels, 1u);
-  EXPECT_EQ(core.monitor().waitlist().size(), 0u);
+  EXPECT_EQ(core.waitlist().size(), 0u);
   EXPECT_FALSE(core.active_for_thread(2).has_value());
   EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), mb(12));
   core.release(first.id, {}, 1.0);
@@ -184,7 +238,7 @@ TEST(AdmissionCore, BestFitWakeOrderPrefersLargestFittingWaiter) {
   config.monitor.wake_order = WakeOrder::kBestFitDemand;
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket hog = core.admit(request(1, mb(14)), 0.0);
   ASSERT_TRUE(hog.admitted);
@@ -198,7 +252,7 @@ TEST(AdmissionCore, BestFitWakeOrderPrefersLargestFittingWaiter) {
   ASSERT_EQ(woken.size(), 2u);
   EXPECT_EQ(woken[0], 3u);
   EXPECT_EQ(woken[1], 4u);
-  EXPECT_EQ(core.monitor().waitlist().size(), 1u);
+  EXPECT_EQ(core.waitlist().size(), 1u);
 }
 
 TEST(AdmissionCore, EmptyDemandListRejected) {
@@ -251,11 +305,10 @@ TEST(AdmissionBatch, AdmitBatchParksOverflowInArrivalOrder) {
   AdmissionConfig config;
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
-  std::vector<ProgressMonitor::WakeGrant> grants;
-  core.set_batch_waker(
-      [&](const std::vector<ProgressMonitor::WakeGrant>& batch) {
-        grants.insert(grants.end(), batch.begin(), batch.end());
-      });
+  std::vector<WakeGrant> grants;
+  core.set_batch_waker([&](const std::vector<WakeGrant>& batch) {
+    grants.insert(grants.end(), batch.begin(), batch.end());
+  });
 
   // 16 MB of budget, four 6 MB requests: two admit, two park — in order.
   std::vector<AdmitRequest> reqs;
@@ -266,7 +319,7 @@ TEST(AdmissionBatch, AdmitBatchParksOverflowInArrivalOrder) {
   EXPECT_TRUE(tickets[1].admitted);
   EXPECT_FALSE(tickets[2].admitted);
   EXPECT_FALSE(tickets[3].admitted);
-  EXPECT_EQ(core.monitor().waitlist().size(), 2u);
+  EXPECT_EQ(core.waitlist().size(), 2u);
 
   // Freeing both admitted periods wakes the parked pair FIFO, and the whole
   // release batch delivers ONE wake flush.
@@ -341,7 +394,7 @@ TEST(AdmissionBatch, EndPeriodsUsesOneRescanForTheWholeBatch) {
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket a = core.admit(request(1, mb(8)), 0.0);
   const AdmitTicket b = core.admit(request(2, mb(8)), 0.0);
@@ -430,7 +483,7 @@ TEST(AdmissionCore, WakeScanMatchesSerialReference) {
       if (kinds >= 3) config.energy_capacity_watts = 16 * kUnit[2];
       AdmissionCore core(config);
       std::vector<sim::ThreadId> woken;
-      core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+      testutil::record_wakes(core, woken);
 
       const double factor =
           policy == PolicyKind::kCompromise ? config.oversubscription : 1.0;
@@ -499,7 +552,7 @@ TEST(AdmissionCore, WakeScanMatchesSerialReference) {
                     ref.usage[static_cast<std::size_t>(kKinds[k])])
               << to_string(kKinds[k]);
         }
-        ASSERT_EQ(core.monitor().waitlist().size(), ref.waiters.size());
+        ASSERT_EQ(core.waitlist().size(), ref.waiters.size());
       }
       EXPECT_EQ(core.stats().forced_admissions, 0u);
       EXPECT_TRUE(core.audit().ok) << core.audit().detail;
@@ -516,7 +569,7 @@ TEST(AdmissionCore, WakeScanChargesEachWakeBeforeJudgingTheNext) {
   config.llc_capacity_bytes = mb(10);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket a = core.admit(request(1, mb(5)), 0.0);
   const AdmitTicket b = core.admit(request(2, mb(5)), 0.0);
@@ -529,7 +582,7 @@ TEST(AdmissionCore, WakeScanChargesEachWakeBeforeJudgingTheNext) {
   core.release_batch({a.id, b.id}, 1.0);
   EXPECT_EQ(woken, (std::vector<sim::ThreadId>{3, 5}));
   EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), mb(8));
-  EXPECT_EQ(core.monitor().waitlist().size(), 1u);
+  EXPECT_EQ(core.waitlist().size(), 1u);
   EXPECT_TRUE(core.audit().ok) << core.audit().detail;
 }
 

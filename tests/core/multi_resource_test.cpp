@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/wake_recorder.hpp"
 #include "core/rda_scheduler.hpp"
 #include "runtime/gate.hpp"
 #include "util/units.hpp"
@@ -14,60 +15,62 @@ namespace {
 
 using rda::util::MB;
 
-PeriodRecord multi_record(sim::ThreadId thread, double llc_mb,
-                          double bw_gbs) {
-  PeriodRecord r;
+AdmitRequest multi_request(sim::ThreadId thread, double llc_mb,
+                           double bw_gbs) {
+  AdmitRequest r;
   r.thread = thread;
   r.process = thread;
-  r.set_single(ResourceKind::kLLC, static_cast<double>(MB(llc_mb)));
+  r.demands = {{ResourceKind::kLLC, static_cast<double>(MB(llc_mb))}};
   if (bw_gbs > 0.0) {
-    r.add_demand(ResourceKind::kMemBandwidth, bw_gbs * 1e9);
+    r.demands.push_back({ResourceKind::kMemBandwidth, bw_gbs * 1e9});
   }
   r.reuse = ReuseLevel::kLow;
   return r;
 }
 
+AdmissionConfig multi_config() {
+  AdmissionConfig config;
+  config.policy = PolicyKind::kStrict;
+  config.llc_capacity_bytes = static_cast<double>(MB(15));
+  config.bandwidth_capacity = 30e9;
+  return config;
+}
+
 class MultiFixture {
  public:
-  MultiFixture()
-      : policy_(std::make_unique<StrictPolicy>()),
-        predicate_(*policy_, resources_),
-        monitor_(predicate_, resources_) {
-    resources_.set_capacity(ResourceKind::kLLC, static_cast<double>(MB(15)));
-    resources_.set_capacity(ResourceKind::kMemBandwidth, 30e9);
-    monitor_.set_waker([this](sim::ThreadId tid) { woken_.push_back(tid); });
+  MultiFixture() : core_(multi_config()) {
+    testutil::record_wakes(core_, woken_);
   }
 
-  ResourceMonitor resources_;
-  std::unique_ptr<SchedulingPolicy> policy_;
-  SchedulingPredicate predicate_;
-  ProgressMonitor monitor_;
+  double usage(ResourceKind kind) const {
+    return core_.resources().usage(kind);
+  }
+
+  AdmissionCore core_;
   std::vector<sim::ThreadId> woken_;
 };
 
 TEST(MultiResource, BothDemandsCharged) {
   MultiFixture fx;
-  const auto outcome =
-      fx.monitor_.begin_period(multi_record(1, 2.0, 10.0), 0.0);
+  const auto outcome = fx.core_.admit(multi_request(1, 2.0, 10.0), 0.0);
   ASSERT_TRUE(outcome.admitted);
-  EXPECT_NEAR(fx.resources_.usage(ResourceKind::kLLC),
-              static_cast<double>(MB(2)), 1.0);
-  EXPECT_NEAR(fx.resources_.usage(ResourceKind::kMemBandwidth), 10e9, 1.0);
-  fx.monitor_.end_period(outcome.id, 1.0);
-  EXPECT_NEAR(fx.resources_.usage(ResourceKind::kLLC), 0.0, 1e-6);
-  EXPECT_NEAR(fx.resources_.usage(ResourceKind::kMemBandwidth), 0.0, 1e-6);
+  EXPECT_NEAR(fx.usage(ResourceKind::kLLC), static_cast<double>(MB(2)), 1.0);
+  EXPECT_NEAR(fx.usage(ResourceKind::kMemBandwidth), 10e9, 1.0);
+  fx.core_.release(outcome.id, {}, 1.0);
+  EXPECT_NEAR(fx.usage(ResourceKind::kLLC), 0.0, 1e-6);
+  EXPECT_NEAR(fx.usage(ResourceKind::kMemBandwidth), 0.0, 1e-6);
 }
 
 TEST(MultiResource, SecondResourceCanBeTheBottleneck) {
   MultiFixture fx;
   // Tiny LLC footprints, huge bandwidth appetites: 3 x 12 GB/s > 30 GB/s.
-  const auto a = fx.monitor_.begin_period(multi_record(1, 0.5, 12.0), 0.0);
-  const auto b = fx.monitor_.begin_period(multi_record(2, 0.5, 12.0), 0.0);
-  const auto c = fx.monitor_.begin_period(multi_record(3, 0.5, 12.0), 0.0);
+  const auto a = fx.core_.admit(multi_request(1, 0.5, 12.0), 0.0);
+  const auto b = fx.core_.admit(multi_request(2, 0.5, 12.0), 0.0);
+  const auto c = fx.core_.admit(multi_request(3, 0.5, 12.0), 0.0);
   EXPECT_TRUE(a.admitted);
   EXPECT_TRUE(b.admitted);
   EXPECT_FALSE(c.admitted);  // LLC has room; bandwidth does not
-  fx.monitor_.end_period(a.id, 1.0);
+  fx.core_.release(a.id, {}, 1.0);
   ASSERT_EQ(fx.woken_.size(), 1u);
   EXPECT_EQ(fx.woken_[0], 3u);
 }
@@ -75,23 +78,23 @@ TEST(MultiResource, SecondResourceCanBeTheBottleneck) {
 TEST(MultiResource, NoPartialCharging) {
   MultiFixture fx;
   // First period eats most of the bandwidth.
-  const auto a = fx.monitor_.begin_period(multi_record(1, 1.0, 25.0), 0.0);
+  const auto a = fx.core_.admit(multi_request(1, 1.0, 25.0), 0.0);
   ASSERT_TRUE(a.admitted);
   // Second fits the LLC but not the bandwidth: denied, and crucially the
   // LLC load must NOT have been incremented (atomic all-or-nothing).
-  const double llc_before = fx.resources_.usage(ResourceKind::kLLC);
-  const auto b = fx.monitor_.begin_period(multi_record(2, 1.0, 10.0), 0.0);
+  const double llc_before = fx.usage(ResourceKind::kLLC);
+  const auto b = fx.core_.admit(multi_request(2, 1.0, 10.0), 0.0);
   EXPECT_FALSE(b.admitted);
-  EXPECT_DOUBLE_EQ(fx.resources_.usage(ResourceKind::kLLC), llc_before);
+  EXPECT_DOUBLE_EQ(fx.usage(ResourceKind::kLLC), llc_before);
 }
 
 TEST(MultiResource, LivenessOverrideChecksAllTargets) {
   MultiFixture fx;
   // 50 GB/s can never fit a 30 GB/s machine; alone, it is force-admitted.
-  const auto big = fx.monitor_.begin_period(multi_record(1, 1.0, 50.0), 0.0);
+  const auto big = fx.core_.admit(multi_request(1, 1.0, 50.0), 0.0);
   EXPECT_TRUE(big.admitted);
   EXPECT_TRUE(big.forced);
-  fx.monitor_.end_period(big.id, 1.0);
+  fx.core_.release(big.id, {}, 1.0);
 }
 
 TEST(MultiResource, SchedulerGatesDeclaredBandwidth) {

@@ -1,9 +1,12 @@
-#include "core/progress_monitor.hpp"
+// The paper's progress monitor (Figs. 5/6, §3.4) driven through its one
+// home, the AdmissionCore slow lane: admission, FIFO wakes, pools, cancels.
+#include "core/admission.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/wake_recorder.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
 
@@ -12,38 +15,38 @@ namespace {
 
 using rda::util::MB;
 
-/// Fixture wiring monitor + strict/compromise policy + a wake recorder.
+AdmissionConfig monitor_config(PolicyKind kind, MonitorOptions options) {
+  AdmissionConfig config;
+  config.llc_capacity_bytes = static_cast<double>(MB(15));
+  config.policy = kind;
+  config.oversubscription = 2.0;
+  config.monitor = options;
+  return config;
+}
+
+/// Fixture wiring a strict/compromise core + a wake recorder.
 class MonitorFixture {
  public:
   explicit MonitorFixture(PolicyKind kind, MonitorOptions options = {})
-      : policy_(make_policy(kind, 2.0)),
-        predicate_(*policy_, resources_),
-        monitor_(predicate_, resources_, options) {
-    resources_.set_capacity(ResourceKind::kLLC, static_cast<double>(MB(15)));
-    resources_.set_admission_bound(
-        ResourceKind::kLLC,
-        policy_->admission_bound(static_cast<double>(MB(15))));
-    monitor_.set_waker([this](sim::ThreadId tid) { woken_.push_back(tid); });
+      : core_(monitor_config(kind, options)) {
+    testutil::record_wakes(core_, woken_);
   }
 
-  ProgressMonitor::BeginOutcome begin(sim::ThreadId thread,
-                                      sim::ProcessId process, double mb) {
-    PeriodRecord r;
+  AdmitTicket begin(sim::ThreadId thread, sim::ProcessId process,
+                    double mb) {
+    AdmitRequest r;
     r.thread = thread;
     r.process = process;
-    r.set_single(ResourceKind::kLLC, static_cast<double>(MB(mb)));
+    r.demands = {{ResourceKind::kLLC, static_cast<double>(MB(mb))}};
     r.reuse = ReuseLevel::kHigh;
-    return monitor_.begin_period(std::move(r), now_ += 1.0);
+    return core_.admit(std::move(r), now_ += 1.0);
   }
 
-  void end(PeriodId id) { monitor_.end_period(id, now_ += 1.0); }
+  void end(PeriodId id) { core_.release(id, {}, now_ += 1.0); }
 
-  double usage() const { return resources_.usage(ResourceKind::kLLC); }
+  double usage() const { return core_.resources().usage(ResourceKind::kLLC); }
 
-  ResourceMonitor resources_;
-  std::unique_ptr<SchedulingPolicy> policy_;
-  SchedulingPredicate predicate_;
-  ProgressMonitor monitor_;
+  AdmissionCore core_;
   std::vector<sim::ThreadId> woken_;
   double now_ = 0.0;
 };
@@ -56,7 +59,7 @@ TEST(ProgressMonitor, AdmitsWhileCapacityLasts) {
   // Third 6 MB request exceeds 15 MB: parked.
   const auto third = fx.begin(3, 3, 6.0);
   EXPECT_FALSE(third.admitted);
-  EXPECT_EQ(fx.monitor_.waitlist().size(), 1u);
+  EXPECT_EQ(fx.core_.waitlist().size(), 1u);
   EXPECT_NEAR(fx.usage(), static_cast<double>(MB(12)), 1.0);  // unchanged
 }
 
@@ -72,7 +75,7 @@ TEST(ProgressMonitor, EndReleasesAndWakesFifo) {
   // Only one 8 MB fits; FIFO means thread 2 first.
   ASSERT_EQ(fx.woken_.size(), 1u);
   EXPECT_EQ(fx.woken_[0], 2u);
-  EXPECT_EQ(fx.monitor_.waitlist().size(), 1u);
+  EXPECT_EQ(fx.core_.waitlist().size(), 1u);
   fx.end(b.id);
   ASSERT_EQ(fx.woken_.size(), 2u);
   EXPECT_EQ(fx.woken_[1], 3u);
@@ -104,14 +107,14 @@ TEST(ProgressMonitor, HeadOnlyScanPreservesArrivalOrder) {
   const auto small = fx.begin(3, 3, 6.0);  // parked behind the head
   (void)small;
   ASSERT_TRUE(a.admitted);
-  EXPECT_EQ(fx.monitor_.waitlist().size(), 2u);
+  EXPECT_EQ(fx.core_.waitlist().size(), 2u);
   fx.end(a.id);
   // Head-only: the 14 MB head is admitted, then scanning stops; the 6 MB
   // entry stays queued (it would not fit anyway, but head-only would not
   // even look).
   ASSERT_EQ(fx.woken_.size(), 1u);
   EXPECT_EQ(fx.woken_[0], 2u);
-  EXPECT_EQ(fx.monitor_.waitlist().size(), 1u);
+  EXPECT_EQ(fx.core_.waitlist().size(), 1u);
 }
 
 TEST(ProgressMonitor, CompromiseAllowsOversubscription) {
@@ -129,7 +132,7 @@ TEST(ProgressMonitor, OversizedDemandForcedWhenAlone) {
   const auto outcome = fx.begin(1, 1, 20.0);
   EXPECT_TRUE(outcome.admitted);
   EXPECT_TRUE(outcome.forced);
-  EXPECT_EQ(fx.monitor_.stats().forced_admissions, 1u);
+  EXPECT_EQ(fx.core_.stats().forced_admissions, 1u);
 }
 
 TEST(ProgressMonitor, OversizedDemandWaitsThenForced) {
@@ -160,37 +163,37 @@ TEST(ProgressMonitor, CancelWaitingWithdrawsRequest) {
   MonitorFixture fx(PolicyKind::kStrict);
   const auto a = fx.begin(1, 1, 10.0);
   const auto parked = fx.begin(2, 2, 10.0);
-  EXPECT_TRUE(fx.monitor_.cancel_waiting(parked.id, 1.0));
-  EXPECT_EQ(fx.monitor_.waitlist().size(), 0u);
-  EXPECT_EQ(fx.monitor_.stats().cancels, 1u);
+  EXPECT_TRUE(fx.core_.withdraw(parked.id, 1.0));
+  EXPECT_EQ(fx.core_.waitlist().size(), 0u);
+  EXPECT_EQ(fx.core_.stats().cancels, 1u);
   // Cancelling an admitted or unknown period fails.
-  EXPECT_FALSE(fx.monitor_.cancel_waiting(a.id, 1.0));
-  EXPECT_FALSE(fx.monitor_.cancel_waiting(9999, 1.0));
-  EXPECT_EQ(fx.monitor_.stats().cancels, 1u);
+  EXPECT_FALSE(fx.core_.withdraw(a.id, 1.0));
+  EXPECT_EQ(fx.core_.try_withdraw(9999, 1.0), WithdrawResult::kGone);
+  EXPECT_EQ(fx.core_.stats().cancels, 1u);
   fx.end(a.id);
   EXPECT_TRUE(fx.woken_.empty());  // nobody left to wake
 }
 
 // Regression: a timed-out / withdrawn waiter used to leave its pool
 // disabled (§3.4) with nobody left to re-enable it — every later member
-// request parked forever unless some unrelated end_period happened to run
-// a rescan. cancel_waiting must rescan, which clears a pool whose last
+// request parked forever unless some unrelated release happened to run a
+// rescan. withdraw must rescan, which clears a pool whose last
 // waiting member just left.
 TEST(ProgressMonitor, CancelReenablesStrandedPool) {
   MonitorOptions options;
   options.pool_guard = true;
   MonitorFixture fx(PolicyKind::kStrict, options);
-  fx.monitor_.mark_pool(7);
+  fx.core_.mark_pool(7);
   const auto solo = fx.begin(1, 1, 12.0);
   ASSERT_TRUE(solo.admitted);
   // Pool member denied (12 + 5 > 15): pool disabled, member parked.
   const auto m1 = fx.begin(10, 7, 5.0);
   ASSERT_FALSE(m1.admitted);
-  ASSERT_TRUE(fx.monitor_.pool_disabled(7));
+  ASSERT_TRUE(fx.core_.pool_disabled(7));
   // The member gives up (begin_for timeout). No pool member waits anymore,
   // so the pool must come back out of the §3.4 pause.
-  ASSERT_TRUE(fx.monitor_.cancel_waiting(m1.id, fx.now_));
-  EXPECT_FALSE(fx.monitor_.pool_disabled(7));
+  ASSERT_TRUE(fx.core_.withdraw(m1.id, fx.now_));
+  EXPECT_FALSE(fx.core_.pool_disabled(7));
   // A fitting member request (12 + 2 < 15) is admitted immediately again.
   const auto m2 = fx.begin(11, 7, 2.0);
   EXPECT_TRUE(m2.admitted);
@@ -198,13 +201,13 @@ TEST(ProgressMonitor, CancelReenablesStrandedPool) {
 
 // Regression companion: cancelling one member of a paused pool shrinks the
 // group's demand sum — the remaining members may now fit as a group, so
-// cancel_waiting must rescan instead of leaving them parked until some
-// unrelated end_period.
+// withdraw must rescan instead of leaving them parked until some unrelated
+// release.
 TEST(ProgressMonitor, CancelShrinksPoolGroupAndAdmitsRest) {
   MonitorOptions options;
   options.pool_guard = true;
   MonitorFixture fx(PolicyKind::kStrict, options);
-  fx.monitor_.mark_pool(7);
+  fx.core_.mark_pool(7);
   const auto solo = fx.begin(1, 1, 10.0);
   ASSERT_TRUE(solo.admitted);
   // m1 denied (10 + 8 > 15): pool disabled; m2 parks behind the pause.
@@ -212,11 +215,11 @@ TEST(ProgressMonitor, CancelShrinksPoolGroupAndAdmitsRest) {
   const auto m2 = fx.begin(11, 7, 4.0);
   ASSERT_FALSE(m1.admitted);
   ASSERT_FALSE(m2.admitted);
-  ASSERT_TRUE(fx.monitor_.pool_disabled(7));
+  ASSERT_TRUE(fx.core_.pool_disabled(7));
   // m1 gives up. The remaining group sum (4 MB) fits next to the solo
   // 10 MB, so the rescan admits the rest of the pool right now.
-  ASSERT_TRUE(fx.monitor_.cancel_waiting(m1.id, fx.now_));
-  EXPECT_FALSE(fx.monitor_.pool_disabled(7));
+  ASSERT_TRUE(fx.core_.withdraw(m1.id, fx.now_));
+  EXPECT_FALSE(fx.core_.pool_disabled(7));
   ASSERT_EQ(fx.woken_.size(), 1u);
   EXPECT_EQ(fx.woken_[0], 11u);
   fx.end(solo.id);
@@ -228,30 +231,30 @@ TEST(ProgressMonitor, PoolDisabledOnFirstDenial) {
   MonitorOptions options;
   options.pool_guard = true;
   MonitorFixture fx(PolicyKind::kStrict, options);
-  fx.monitor_.mark_pool(7);
+  fx.core_.mark_pool(7);
   const auto solo = fx.begin(1, 1, 12.0);
   ASSERT_TRUE(solo.admitted);
   // Pool member denied -> pool disabled.
   const auto m1 = fx.begin(10, 7, 5.0);
   EXPECT_FALSE(m1.admitted);
-  EXPECT_TRUE(fx.monitor_.pool_disabled(7));
-  EXPECT_EQ(fx.monitor_.stats().pool_disables, 1u);
+  EXPECT_TRUE(fx.core_.pool_disabled(7));
+  EXPECT_EQ(fx.core_.stats().pool_disables, 1u);
   // Another member would individually fit (3 < 15-12) but the pool is
   // disabled: parked too (§3.4 "disables the whole thread pool").
   const auto m2 = fx.begin(11, 7, 2.9);
   EXPECT_FALSE(m2.admitted);
   // Release: 5 + 2.9 fits into 15 -> whole group admitted together.
   fx.end(solo.id);
-  EXPECT_FALSE(fx.monitor_.pool_disabled(7));
+  EXPECT_FALSE(fx.core_.pool_disabled(7));
   ASSERT_EQ(fx.woken_.size(), 2u);
-  EXPECT_EQ(fx.monitor_.stats().pool_group_admissions, 1u);
+  EXPECT_EQ(fx.core_.stats().pool_group_admissions, 1u);
 }
 
 TEST(ProgressMonitor, PoolWaitsUntilWholeGroupFits) {
   MonitorOptions options;
   options.pool_guard = true;
   MonitorFixture fx(PolicyKind::kStrict, options);
-  fx.monitor_.mark_pool(7);
+  fx.core_.mark_pool(7);
   const auto a = fx.begin(1, 1, 8.0);
   const auto b = fx.begin(2, 2, 6.0);
   // Two pool members of 6 MB each: group needs 12.
@@ -263,11 +266,11 @@ TEST(ProgressMonitor, PoolWaitsUntilWholeGroupFits) {
   ASSERT_TRUE(b.admitted);
   // Ending b leaves 8 used, 7 free: group (12) still does not fit.
   fx.end(b.id);
-  EXPECT_TRUE(fx.monitor_.pool_disabled(7));
+  EXPECT_TRUE(fx.core_.pool_disabled(7));
   EXPECT_TRUE(fx.woken_.empty());
   // Ending a frees everything: group fits now.
   fx.end(a.id);
-  EXPECT_FALSE(fx.monitor_.pool_disabled(7));
+  EXPECT_FALSE(fx.core_.pool_disabled(7));
   EXPECT_EQ(fx.woken_.size(), 2u);
 }
 
@@ -275,13 +278,13 @@ TEST(ProgressMonitor, PoolGuardOffTreatsMembersIndividually) {
   MonitorOptions options;
   options.pool_guard = false;
   MonitorFixture fx(PolicyKind::kStrict, options);
-  fx.monitor_.mark_pool(7);
+  fx.core_.mark_pool(7);
   const auto solo = fx.begin(1, 1, 12.0);
   ASSERT_TRUE(solo.admitted);
   EXPECT_FALSE(fx.begin(10, 7, 5.0).admitted);
   // With the guard off, a fitting member is admitted individually.
   EXPECT_TRUE(fx.begin(11, 7, 2.0).admitted);
-  EXPECT_FALSE(fx.monitor_.pool_disabled(7));
+  EXPECT_FALSE(fx.core_.pool_disabled(7));
 }
 
 TEST(ProgressMonitor, StatsTrackLifecycle) {
@@ -290,7 +293,7 @@ TEST(ProgressMonitor, StatsTrackLifecycle) {
   const auto b = fx.begin(2, 2, 10.0);
   fx.end(a.id);
   fx.end(b.id);
-  const MonitorStats& s = fx.monitor_.stats();
+  const MonitorStats s = fx.core_.stats();
   EXPECT_EQ(s.begins, 2u);
   EXPECT_EQ(s.ends, 2u);
   EXPECT_EQ(s.immediate_admissions, 1u);

@@ -180,11 +180,11 @@ TEST(RdaScheduler, PoolMarkPropagates) {
   sched.mark_pool(7);
   EXPECT_TRUE(sched.on_phase_begin(1, 1, phase(12), 0.0).admit);
   EXPECT_FALSE(sched.on_phase_begin(10, 7, phase(5), 0.0).admit);
-  EXPECT_TRUE(sched.monitor().pool_disabled(7));
+  EXPECT_TRUE(sched.core().pool_disabled(7));
 }
 
 // Regression: a nested pp_begin from a thread with a still-active period
-// used to reach ProgressMonitor::begin_period, which bumped stats.begins
+// used to reach the core's begin_period, which bumped stats.begins
 // and emitted a kBegin trace event before the registry finally rejected
 // the insert — skewing the stats/trace reconciliation invariant and
 // overwriting active_period_[thread] on builds without registry checks.

@@ -231,8 +231,8 @@ TEST(Sharding, CoreAuditHoldsThroughRandomSerializedLifecycle) {
   const AdmissionCore::AuditReport final_audit = core.audit();
   EXPECT_TRUE(final_audit.ok) << final_audit.detail;
   EXPECT_TRUE(core.resources().effectively_free(ResourceKind::kLLC));
-  EXPECT_EQ(core.monitor().registry().active_count(), 0u);
-  EXPECT_TRUE(core.monitor().waitlist().empty());
+  EXPECT_EQ(core.registry().active_count(), 0u);
+  EXPECT_TRUE(core.waitlist().empty());
 }
 
 }  // namespace

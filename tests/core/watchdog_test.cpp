@@ -9,6 +9,7 @@
 
 #include "core/admission.hpp"
 #include "obs/recorder.hpp"
+#include "common/wake_recorder.hpp"
 #include "util/units.hpp"
 
 namespace rda::core {
@@ -51,7 +52,7 @@ TEST(Watchdog, RungOneClampsInfeasibleDemandAndAdmits) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket holder = core.admit(request(1, mb(6)), 0.0);
   ASSERT_TRUE(holder.admitted);
@@ -83,7 +84,7 @@ TEST(Watchdog, RungTwoForceAdmitsWithOversubscriptionTally) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket holder = core.admit(request(1, mb(10)), 0.0);
   ASSERT_TRUE(holder.admitted);
@@ -118,7 +119,7 @@ TEST(Watchdog, RungThreeRejectsAndSurfacesTheEviction) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket holder = core.admit(request(1, mb(10)), 0.0);
   const AdmitTicket starved = core.admit(request(2, mb(12)), 0.1);
@@ -129,7 +130,7 @@ TEST(Watchdog, RungThreeRejectsAndSurfacesTheEviction) {
   EXPECT_EQ(core.stats().rejections, 1u);
   EXPECT_EQ(recorder.count(obs::EventKind::kReject), 1u);
   EXPECT_TRUE(woken.empty());  // a rejection never gets a Waker grant
-  EXPECT_TRUE(core.monitor().waitlist().empty());
+  EXPECT_TRUE(core.waitlist().empty());
   EXPECT_TRUE(core.is_rejected(starved.id));
   const std::vector<sim::ThreadId> rejected = core.rejected_threads();
   ASSERT_EQ(rejected.size(), 1u);
@@ -153,7 +154,7 @@ TEST(Watchdog, TimeTriggerEscalatesOnlyAfterTheDeadline) {
   wd.clamp_fraction = 0.5;
   AdmissionCore core(watchdog_config(wd));
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   core.admit(request(1, mb(6)), 0.0);
   const AdmitTicket big = core.admit(request(2, mb(24)), 0.1);
@@ -174,7 +175,7 @@ TEST(Watchdog, StallTriggerEscalatesImmediately) {
   wd.clamp_fraction = 0.5;
   AdmissionCore core(watchdog_config(wd));
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   core.admit(request(1, mb(6)), 0.0);
   const AdmitTicket big = core.admit(request(2, mb(24)), 0.1);
@@ -200,7 +201,7 @@ TEST(Watchdog, DisabledWatchdogNeverEscalates) {
   EXPECT_FALSE(core.is_admitted(starved.id));
   EXPECT_EQ(core.stats().demand_clamps, 0u);
   EXPECT_EQ(core.stats().rejections, 0u);
-  EXPECT_EQ(core.monitor().waitlist().size(), 1u);
+  EXPECT_EQ(core.waitlist().size(), 1u);
 }
 
 TEST(Reclaim, ReapAdmittedOrphanReturnsLoadAndWakesWaiter) {
@@ -210,14 +211,14 @@ TEST(Reclaim, ReapAdmittedOrphanReturnsLoadAndWakesWaiter) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket orphan = core.admit(request(1, mb(6)), 0.0);
   ASSERT_TRUE(orphan.admitted);
   const AdmitTicket waiter = core.admit(request(2, mb(14)), 0.1);
   ASSERT_FALSE(waiter.admitted);
 
-  const ProgressMonitor::ReapOutcome outcome = core.reap(1, 0.5);
+  const ReapOutcome outcome = core.reap(1, 0.5);
   EXPECT_TRUE(outcome.reaped);
   EXPECT_TRUE(outcome.was_admitted);
   EXPECT_EQ(outcome.period, orphan.id);
@@ -240,18 +241,17 @@ TEST(Reclaim, ReapWaitlistedOrphanEvictsEntry) {
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  testutil::record_wakes(core, woken);
 
   const AdmitTicket holder = core.admit(request(1, mb(12)), 0.0);
   const AdmitTicket parked = core.admit(request(2, mb(12)), 0.1);
   ASSERT_FALSE(parked.admitted);
 
-  const ProgressMonitor::ReapOutcome outcome =
-      core.reap(2, 0.5, /*remember_waiter=*/true);
+  const ReapOutcome outcome = core.reap(2, 0.5, /*remember_waiter=*/true);
   EXPECT_TRUE(outcome.reaped);
   EXPECT_FALSE(outcome.was_admitted);
   EXPECT_EQ(core.stats().reclaims, 1u);
-  EXPECT_TRUE(core.monitor().waitlist().empty());
+  EXPECT_TRUE(core.waitlist().empty());
   EXPECT_TRUE(woken.empty());
   // A live waiter polling on the period observes the eviction exactly once.
   EXPECT_TRUE(core.is_reclaimed(parked.id));
@@ -264,7 +264,7 @@ TEST(Reclaim, ReapWaitlistedOrphanEvictsEntry) {
 
 TEST(Reclaim, ReapWithoutActivePeriodIsNoop) {
   AdmissionCore core;
-  const ProgressMonitor::ReapOutcome outcome = core.reap(42, 0.0);
+  const ReapOutcome outcome = core.reap(42, 0.0);
   EXPECT_FALSE(outcome.reaped);
   EXPECT_EQ(core.stats().reclaims, 0u);
 }

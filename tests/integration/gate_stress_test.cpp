@@ -79,8 +79,8 @@ TEST_P(GateStress, RandomWorkloadCompletesCleanly) {
   EXPECT_NEAR(result.total_flops, expected_flops, 1e-6 * expected_flops);
   // All periods closed: the load table must be fully released.
   EXPECT_NEAR(gate.resources().usage(ResourceKind::kLLC), 0.0, 1e-6);
-  EXPECT_EQ(gate.monitor().waitlist().size(), 0u);
-  EXPECT_EQ(gate.monitor().registry().active_count(), 0u);
+  EXPECT_EQ(gate.core().waitlist().size(), 0u);
+  EXPECT_EQ(gate.core().registry().active_count(), 0u);
   // Accounting identity: every begin either admitted immediately, woken
   // later, or force-admitted.
   const core::MonitorStats& s = gate.monitor_stats();

@@ -158,8 +158,7 @@ TEST(ServiceRace, ShardedDrainSurvivesNodeDeathMidRun) {
       std::this_thread::yield();  // let the fleet get half-way
     }
     node2_down.store(true, std::memory_order_release);
-    const core::ProgressMonitor::ReapOutcome outcome =
-        cores[2]->reap(resident_thread, 0.0);
+    const core::ReapOutcome outcome = cores[2]->reap(resident_thread, 0.0);
     EXPECT_TRUE(outcome.reaped);
     EXPECT_TRUE(outcome.was_admitted);
     for (std::uint64_t i = 0; i < kExtra; ++i) {
